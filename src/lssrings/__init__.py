@@ -1,6 +1,6 @@
 """Exact toolkit for positive matching decompositions of graphs and the
 quotient-ring invariants they control: degree/degeneracy thresholds,
-LP-certified decompositions, a desk-scale Groebner engine, and a
+decompositions with integer certificates, a desk-scale Groebner engine, and a
 corpus-scanning harness for the two open inequalities.
 """
 
@@ -12,7 +12,7 @@ from .graphs import (Graph, EliminationOrder, alpha, complete,
 from .pmd import (PmdDecomposition, PmdResult, greedy_upper_bound, pmd,
                   pmd_bruteforce, verify_decomposition)
 from .posmatch import (LinearSystem, WeightCertificate, check_certificate,
-                       is_positive_matching, lp_feasible)
+                       is_positive_matching, lp_feasible, walk_certificate)
 
 __version__ = "0.1.0"
 
@@ -24,5 +24,5 @@ __all__ = [
     "PmdDecomposition", "PmdResult", "greedy_upper_bound", "pmd",
     "pmd_bruteforce", "verify_decomposition",
     "LinearSystem", "WeightCertificate", "check_certificate",
-    "is_positive_matching", "lp_feasible",
+    "is_positive_matching", "lp_feasible", "walk_certificate",
 ]

@@ -1,13 +1,14 @@
 """Pure-Python twin of the fast kernel.
 
 The obstruction test is the inner loop of the decomposition search: a
-candidate part M is certifiable only if the digraph with an arc
+candidate part M is positive exactly when the digraph with an arc
 x -> mate(y) for every remaining host edge {x, y} inside the matched
 vertex set is acyclic. A directed cycle yields a telescoping identity
 equating a sum of the part's (positive) edge sums with a sum of
-remaining (negative) edge sums, so no weight function can exist;
-acyclicity is therefore a sound rejection test, and every accepted part
-is still confirmed by the exact LP when its certificate is produced.
+remaining (negative) edge sums, so no weight function can exist. An
+acyclic digraph has a topological order, and posmatch.walk_certificate
+turns that order into integer weights. The test is therefore exact, and
+the certificate of every accepted part comes from the same digraph.
 """
 
 from __future__ import annotations

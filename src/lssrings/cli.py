@@ -180,6 +180,7 @@ def cmd_scan(args) -> int:
     print(f"scanned {summary.total} graphs: {summary.exact} exact, "
           f"{summary.budget_exhausted} budget-exhausted, "
           f"{summary.parse_errors} parse errors, "
+          f"{summary.solver_errors} solver errors, "
           f"{summary.violations} conjecture findings", file=sys.stderr)
     return 0
 

@@ -271,7 +271,8 @@ def monomial_multiplicity(mi: MonomialIdeal, num_vars: int) -> int:
     num = hilbert_numerator(mi)
     height = num_vars - monomial_dim(mi, num_vars)
     for _ in range(height):
-        assert sum(num) == 0, "Hilbert numerator not divisible by (1-t)"
+        if sum(num) != 0:
+            raise ArithmeticError("Hilbert numerator not divisible by (1-t)")
         # divide by (1 - t): synthetic division
         out = [0] * (len(num) - 1)
         acc = 0
@@ -280,7 +281,8 @@ def monomial_multiplicity(mi: MonomialIdeal, num_vars: int) -> int:
             out[i] = acc
         num = out if out else [0]
     e = sum(num)
-    assert e > 0, "multiplicity must be positive"
+    if e <= 0:
+        raise ArithmeticError("multiplicity must be positive")
     return e
 
 

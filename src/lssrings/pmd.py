@@ -6,12 +6,14 @@ continues on what is left. Restricting to maximal first parts is safe:
 any valid decomposition stays valid after growing its first part and
 shrinking the later ones, because removing host edges only removes
 negativity constraints. Candidate parts are screened by the
-alternating-walk obstruction kernel (sound for rejection; see
-_purekernel), subproblems are memoized on the remaining edge set, and
-stages are pruned whenever the residual max degree exceeds the
-remaining part budget. Certificates for the reported decomposition are
-produced by the exact LP (with a leaf-stripping construction on forest
-stages) and re-checked before anything is returned.
+alternating-walk obstruction kernel, whose acyclicity test is exact:
+a part passes exactly when it is positive (see _purekernel).
+Subproblems are memoized on the remaining edge set, and stages are
+pruned whenever the residual max degree exceeds the remaining part
+budget. The certificate of each reported stage comes from a topological
+order of the same digraph (posmatch.walk_certificate) and is re-checked
+before anything is returned. The exact LP is not on this path; it
+serves only as the independent oracle in pmd_bruteforce.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from . import kernel
 from .graphs import Graph, is_forest, max_degree
 from .posmatch import (WeightCertificate, check_certificate,
-                       is_positive_matching)
+                       is_positive_matching, walk_certificate)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 DEFAULT_TIME_BUDGET = 60.0
@@ -76,66 +78,18 @@ def default_node_budget() -> int:
 # ---------------------------------------------------------------------------
 # certificate construction for a single stage
 
-def _forest_certificate(vertices, host, part):
-    """Leaf-stripping weights for a forest host: peel leaves, then assign
-    each peeled vertex the value that settles its only remaining edge."""
-    part_set = set(part)
-    deg = {}
-    adj = {}
-    for (u, v) in host:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    order = []
-    leaves = [v for v, d in deg.items() if d == 1]
-    while leaves:
-        v = leaves.pop()
-        if deg[v] != 1:
-            continue
-        u = next(iter(adj[v]))
-        order.append((v, u))
-        adj[u].discard(v)
-        adj[v].discard(u)
-        deg[v] -= 1
-        deg[u] -= 1
-        if deg[u] == 1:
-            leaves.append(u)
-    if any(d > 0 for d in deg.values()):
-        return None   # host had a cycle after all
-    w = {v: 0 for v in vertices}
-    for v, u in reversed(order):
-        e = (min(u, v), max(u, v))
-        w[v] = -w[u] + 1 if e in part_set else -w[u] - 1
-    return WeightCertificate.from_map(w)
-
-
 def _stage_certificate(n, host, part):
-    """Certificate for one stage, or None when the part is not positive."""
-    if host and _is_forest_edges(host):
-        cert = _forest_certificate(range(1, n + 1), host, part)
-        if cert is not None and check_certificate(host, part, cert):
-            return cert
-    res = is_positive_matching(host, part, n=n)
-    return res.certificate if res.is_positive else None
+    """Certificate for one stage from the alternating-walk order, re-checked.
 
-
-def _is_forest_edges(edges) -> bool:
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    Every part the solver proposes is positive (the kernel admitted it,
+    or it is a color class of a forest), so a missing or failing
+    certificate is a solver bug."""
+    cert = walk_certificate(n, host, part)
+    if cert is None:
+        raise RuntimeError(f"stage part {part} is not a positive matching")
+    if not check_certificate(host, part, cert):
+        raise RuntimeError(f"walk certificate for stage part {part} fails its check")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +282,14 @@ class _Solver:
             pm ^= b
         return tuple(sorted(out))
 
-    def certify(self, part_masks: list[int]) -> PmdDecomposition | None:
-        """Build and verify stage certificates; None if any stage fails."""
+    def certify(self, part_masks: list[int]) -> PmdDecomposition:
+        """Build and verify stage certificates; raises if any stage fails."""
         parts, certs = [], []
         remaining = (1 << self.m) - 1
         for pm in part_masks:
             host = self.part_edges(remaining)
             part = self.part_edges(pm)
             cert = _stage_certificate(self.g.n, host, part)
-            if cert is None:
-                return None
             parts.append(part)
             certs.append(cert)
             remaining &= ~pm
@@ -360,9 +312,7 @@ def pmd(g: Graph, node_budget: int | None = None,
 
     fp = s.forest_parts()
     if fp is not None and len(fp) == lb:
-        dec = s.certify(fp)
-        if dec is not None:
-            return PmdResult(lb, dec, "exact", s.nodes, _ms(t0))
+        return PmdResult(lb, s.certify(fp), "exact", s.nodes, _ms(t0))
 
     best = s.greedy_parts()
     status = "exact"
@@ -373,43 +323,8 @@ def pmd(g: Graph, node_budget: int | None = None,
                 break
     except BudgetExhausted:
         status = "upper_bound_only"
-
     dec = s.certify(best)
-    if dec is None:
-        # The screen admitted a non-positive part (not expected); redo the
-        # search with the LP as the screen and fresh memo tables.
-        s.feas_cache = _LpScreenCache(s)
-        s.memo_lo = {}
-        s.memo_part = {}
-        best = s.greedy_parts()
-        if status == "exact":
-            try:
-                for q in range(lb, len(best)):
-                    if s.decide((1 << s.m) - 1, q):
-                        best = _reconstruct(s)
-                        break
-            except BudgetExhausted:
-                status = "upper_bound_only"
-        dec = s.certify(best)
-        if dec is None:
-            raise RuntimeError("certificate construction failed on a verified part")
     return PmdResult(len(dec), dec, status, s.nodes, _ms(t0))
-
-
-class _LpScreenCache(dict):
-    """feas_cache stand-in that answers misses with the exact LP."""
-
-    def __init__(self, solver: _Solver):
-        super().__init__()
-        self._s = solver
-
-    def get(self, key, default=None):
-        if key not in self:
-            host_mask, part_mask = key
-            host = self._s.part_edges(host_mask)
-            part = self._s.part_edges(part_mask)
-            self[key] = is_positive_matching(host, part, n=self._s.g.n).is_positive
-        return self[key]
 
 
 def _reconstruct(s: _Solver) -> list[int]:
@@ -431,11 +346,7 @@ def greedy_upper_bound(g: Graph) -> PmdDecomposition:
     s = _Solver(g, 10 ** 9, 3600.0)
     if s.m == 0:
         return PmdDecomposition((), ())
-    dec = s.certify(s.greedy_parts())
-    if dec is None:
-        s.feas_cache = _LpScreenCache(s)
-        dec = s.certify(s.greedy_parts())
-    return dec
+    return s.certify(s.greedy_parts())
 
 
 def pmd_bruteforce(g: Graph) -> int:

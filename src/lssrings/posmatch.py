@@ -8,11 +8,17 @@ bounds >= 1 and <= -1 is; that normalized system is decided by a
 phase-1 simplex over exact rationals with Bland's rule. A
 Fourier-Motzkin eliminator is kept alongside as an independent test
 oracle for small systems.
+
+The solver does not use the LP: ``walk_certificate`` decides the same
+question combinatorially and builds integer weights from a topological
+order of the alternating-walk digraph. The LP and Fourier-Motzkin stay
+as independent oracles for tests and for pmd_bruteforce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .rationals import QQ, ZERO, scale_to_integers
 
@@ -176,7 +182,8 @@ def solve_system(sys: LinearSystem) -> LpResult:
     # infeasible: dual values live in the price row under the artificial columns
     p = price()
     lam = tuple(sigma[i] * p[art_lo + i] for i in range(m))
-    assert all(l >= 0 for l in lam)
+    if any(l < 0 for l in lam):
+        raise RuntimeError("Farkas multipliers have a negative entry")
     return LpResult(None, lam)
 
 
@@ -256,11 +263,10 @@ class PositiveMatchingResult:
 
 
 def _normalize_edges(edges):
-    out = set()
-    for i, j in edges:
+    out = {(i, j) if i < j else (j, i) for i, j in edges}
+    for i, j in out:
         if i == j:
             raise MatchingArgumentError(f"self-loop ({i},{j})")
-        out.add((min(i, j), max(i, j)))
     return out
 
 
@@ -301,7 +307,8 @@ def is_positive_matching(host_edges, part, n: int | None = None) -> PositiveMatc
         vertices.update(range(1, n + 1))
     weights = {v: point.get(v, ZERO) for v in vertices}
     cert = WeightCertificate.from_map(scale_to_integers(weights))
-    assert check_certificate(host, m, cert)
+    if not check_certificate(host, m, cert):
+        raise RuntimeError("LP point does not certify the matching")
     return PositiveMatchingResult("positive", cert)
 
 
@@ -317,3 +324,61 @@ def check_certificate(host_edges, part, cert: WeightCertificate) -> bool:
         if w.get(i, 0) + w.get(j, 0) >= 0:
             return False
     return True
+
+
+def walk_certificate(n: int, host_edges, part) -> WeightCertificate | None:
+    """Integer certificate from the alternating-walk order, or None.
+
+    The digraph has an arc x -> mate(y) for every non-part host edge
+    {x, y} with both ends matched. A directed cycle makes a sum of part
+    edge sums equal a sum of non-part edge sums, so no weighting exists
+    and the result is None. Otherwise let r(v) be the length of the
+    longest path ending at v (the Kahn level) and set
+
+        w(v) = 2 (r(v) - r(mate v)) + 1      on matched vertices,
+        w(v) = -(max |w| + 1)                everywhere else.
+
+    Every part edge then sums to 2. A non-part edge with both ends
+    matched sums to 2 (r(x) - r(mate y)) + 2 (r(y) - r(mate x)) + 2 <= -2,
+    and one with an unmatched end sums to at most -1. Vertices 1..n all
+    get a weight. Deterministic: the levels do not depend on visiting
+    order. A part that is not a matching returns None.
+    """
+    host = _normalize_edges(host_edges)
+    m = _normalize_edges(part)
+    if not m <= host:
+        raise MatchingArgumentError("part is not a subset of the host edge set")
+    mate: dict[int, int] = {}
+    for i, j in m:
+        if i in mate or j in mate:
+            return None
+        mate[i], mate[j] = j, i
+    succ: dict[int, list[int]] = {}
+    indeg = dict.fromkeys(mate, 0)
+    for x, y in host - m:
+        mx, my = mate.get(x), mate.get(y)
+        if mx is not None and my is not None:
+            succ.setdefault(x, []).append(my)
+            indeg[my] += 1
+            succ.setdefault(y, []).append(mx)
+            indeg[mx] += 1
+    rank: dict[int, int] = {}
+    level = [v for v, d in indeg.items() if d == 0]
+    r = 0
+    while level:
+        nxt = []
+        for v in level:
+            rank[v] = r
+            for t in succ.get(v, ()):
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    nxt.append(t)
+        level = nxt
+        r += 1
+    if len(rank) < len(mate):
+        return None
+    matched = {v: 2 * (rank[v] - rank[mate[v]]) + 1 for v in mate}
+    low = -(max(map(abs, matched.values()), default=0) + 1)
+    w = dict.fromkeys(chain(range(1, n + 1), chain.from_iterable(host)), low)
+    w.update(matched)
+    return WeightCertificate(tuple(sorted(w.items())))

@@ -3,7 +3,8 @@
 A scan row records the invariants and bound checks for one graph; rows
 with an exhausted budget keep their upper bound but are excluded from
 violation accounting, so a timeout can never masquerade as a
-counterexample. Violations of the open inequality pmd <= alpha are
+counterexample. A graph whose solve raises becomes a ``solver_error`` row
+and the scan goes on. Violations of the open inequality pmd <= alpha are
 findings, not errors; a forest with pmd != degree is a solver bug and is
 treated as a hard failure.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
@@ -69,6 +72,7 @@ class ScanSummary:
     exact: int
     budget_exhausted: int
     parse_errors: int
+    solver_errors: int
     violations: int
     max_gap: int | None
     slowest_id: str | None
@@ -78,7 +82,8 @@ class ScanSummary:
         return {
             "total": self.total, "exact": self.exact,
             "budget_exhausted": self.budget_exhausted,
-            "parse_errors": self.parse_errors, "violations": self.violations,
+            "parse_errors": self.parse_errors,
+            "solver_errors": self.solver_errors, "violations": self.violations,
             "max_gap": self.max_gap, "slowest_id": self.slowest_id,
             "slowest_ms": int(self.slowest_ms),
         }
@@ -114,14 +119,23 @@ def scan_graph(g: Graph, gid: str, node_budget=None, time_budget=None,
     )
 
 
+def _error_row(gid: str, status: str) -> ScanRow:
+    return ScanRow(gid, None, None, None, None, None, None, None,
+                   status, None, None, None, None, 0.0)
+
+
 def _scan_one(args) -> ScanRow:
     line, node_budget, time_budget, stable_ms = args
     try:
         g = parse_graph6(line)
     except GraphFormatError as exc:
-        return ScanRow(line, None, None, None, None, None, None, None,
-                       f"parse_error: {exc}", None, None, None, None, 0.0)
-    return scan_graph(g, encode_graph6(g), node_budget, time_budget, stable_ms)
+        return _error_row(line, f"parse_error: {exc}")
+    gid = encode_graph6(g)
+    try:
+        return scan_graph(g, gid, node_budget, time_budget, stable_ms)
+    except Exception as exc:  # one failing solve must not stop the corpus
+        traceback.print_exc(file=sys.stderr)
+        return _error_row(gid, f"solver_error: {type(exc).__name__}: {exc}")
 
 
 def iter_corpus_lines(text: str):
@@ -134,8 +148,8 @@ def iter_corpus_lines(text: str):
 def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
                 max_n: int | None = None,
                 stable_ms: bool = False) -> tuple[list[ScanRow], ScanSummary]:
-    """Scan graph6 lines; returns (rows, summary). Parse failures become
-    per-line error rows and the scan continues."""
+    """Scan graph6 lines; returns (rows, summary). Parse failures and
+    solver exceptions become per-line error rows and the scan continues."""
     work = []
     for line in lines:
         if max_n is not None:
@@ -159,12 +173,13 @@ def summarize(rows) -> ScanSummary:
     exact = sum(1 for r in rows if r.status == "exact")
     budget = sum(1 for r in rows if r.status == "upper_bound_only")
     errors = sum(1 for r in rows if r.status.startswith("parse_error"))
+    solver_errors = sum(1 for r in rows if r.status.startswith("solver_error"))
     violations = sum(1 for r in rows if r.ok_conjecture is False)
     gaps = [r.gap for r in rows if r.gap is not None]
     slowest = max(rows, key=lambda r: r.ms, default=None)
     return ScanSummary(
         total=len(rows), exact=exact, budget_exhausted=budget,
-        parse_errors=errors, violations=violations,
+        parse_errors=errors, solver_errors=solver_errors, violations=violations,
         max_gap=max(gaps) if gaps else None,
         slowest_id=slowest.id if slowest else None,
         slowest_ms=slowest.ms if slowest else 0.0,

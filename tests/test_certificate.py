@@ -1,0 +1,140 @@
+"""Stage certificates from the alternating-walk order, and the explicit
+checks that back every reported decomposition (they must hold under -O)."""
+
+import importlib
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lssrings
+from lssrings import groebner, kernel, posmatch
+from lssrings.graphs import complete
+from lssrings.pmd import greedy_upper_bound, pmd
+from lssrings.posmatch import (MatchingArgumentError, WeightCertificate,
+                               check_certificate, is_positive_matching,
+                               walk_certificate)
+
+# lssrings.pmd is shadowed by the function of the same name on the package.
+pmd_module = importlib.import_module("lssrings.pmd")
+
+EXAMPLE_EDGES = [(1, 2), (2, 3), (2, 4), (3, 4)]
+C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
+
+
+@st.composite
+def graph_and_matching(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    host = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    picked = draw(st.lists(st.sampled_from(host), unique=True) if host else st.just([]))
+    part, used = [], set()
+    for i, j in picked:
+        if i not in used and j not in used:
+            part.append((i, j))
+            used.update((i, j))
+    return n, sorted(host), sorted(part)
+
+
+@settings(max_examples=250, deadline=None)
+@given(graph_and_matching())
+def test_walk_certificate_exists_exactly_when_lp_says_positive(case):
+    n, host, part = case
+    cert = walk_certificate(n, host, part)
+    assert (cert is not None) == is_positive_matching(host, part, n=n).is_positive
+    if cert is not None:
+        assert check_certificate(host, part, cert)
+        assert set(cert.as_map()) == set(range(1, n + 1))
+
+
+def test_walk_certificate_agrees_with_kernel_exhaustively(all_n5):
+    for g in all_n5:
+        host = list(g.edge_labels())
+        for k in range(len(host) + 1):
+            for part in itertools.combinations(host, k):
+                cert = walk_certificate(g.n, host, part)
+                verts = [v for e in part for v in e]
+                if len(set(verts)) < len(verts):
+                    assert cert is None
+                    continue
+                mate = [-1] * g.n
+                for u, v in part:
+                    mate[u - 1], mate[v - 1] = v - 1, u - 1
+                rest = [e for e in host if e not in part]
+                free = kernel.obstruction_free(mate, [u - 1 for u, _ in rest],
+                                               [v - 1 for _, v in rest])
+                assert (cert is not None) == free, (host, part)
+                if cert is not None:
+                    assert check_certificate(host, part, cert)
+
+
+def test_walk_certificate_small_cases():
+    cert = walk_certificate(4, EXAMPLE_EDGES, [(1, 2), (3, 4)])
+    # arcs 2 -> 4, 2 -> 3, 3 -> 1, 4 -> 1 give levels r = (2, 0, 1, 1)
+    assert cert == WeightCertificate.from_map({1: 5, 2: -3, 3: 1, 4: 1})
+    assert walk_certificate(4, C4_EDGES, [(1, 2), (3, 4)]) is None
+    assert walk_certificate(4, EXAMPLE_EDGES, [(1, 2), (2, 3)]) is None
+    assert walk_certificate(3, [], []) == WeightCertificate.from_map({1: -1, 2: -1, 3: -1})
+    with pytest.raises(MatchingArgumentError):
+        walk_certificate(4, EXAMPLE_EDGES, [(1, 3)])
+
+
+def test_solver_never_calls_the_lp(connected_n6, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the solver reached the LP")
+
+    monkeypatch.setattr(pmd_module, "is_positive_matching", no_lp)
+    monkeypatch.setattr(posmatch, "solve_system", no_lp)
+    for g in connected_n6:
+        assert pmd(g).status == "exact"
+        greedy_upper_bound(g)
+
+
+def test_stage_failures_raise(monkeypatch):
+    monkeypatch.setattr(pmd_module, "walk_certificate", lambda n, host, part: None)
+    with pytest.raises(RuntimeError, match="not a positive matching"):
+        pmd(complete(4))
+    monkeypatch.undo()
+    monkeypatch.setattr(pmd_module, "check_certificate", lambda host, part, cert: False)
+    with pytest.raises(RuntimeError, match="fails its check"):
+        greedy_upper_bound(complete(4))
+
+
+def test_lp_certificate_recheck_raises(monkeypatch):
+    monkeypatch.setattr(posmatch, "check_certificate", lambda host, part, cert: False)
+    with pytest.raises(RuntimeError, match="does not certify"):
+        is_positive_matching(EXAMPLE_EDGES, [(1, 2), (3, 4)])
+
+
+def test_hilbert_checks_raise(monkeypatch):
+    mi = groebner.MonomialIdeal(((1, 0),), 2)       # (y1): height 1
+    assert groebner.monomial_multiplicity(mi, 2) == 1
+    monkeypatch.setattr(groebner, "hilbert_numerator", lambda mi: [1, 1])
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        groebner.monomial_multiplicity(mi, 2)
+    monkeypatch.setattr(groebner, "hilbert_numerator", lambda mi: [1, -2, 1])
+    with pytest.raises(ArithmeticError, match="must be positive"):
+        groebner.monomial_multiplicity(mi, 2)
+
+
+def test_solve_is_verified_under_optimize_flag():
+    """The certificate checks are explicit raises, so they run under -O."""
+    src = str(Path(lssrings.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "\n".join([
+        "from lssrings import complete, parse_edge_list, pmd, verify_decomposition",
+        "print('debug' if __debug__ else 'optimized')",
+        "for g in (parse_edge_list('4\\n1 2\\n2 3\\n2 4\\n3 4'), complete(4)):",
+        "    r = pmd(g)",
+        "    print(r.value, r.status, verify_decomposition(g, r.decomposition))",
+    ])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["optimized", "3", "exact", "True", "5", "exact", "True"]

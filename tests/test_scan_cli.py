@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from lssrings import scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
 from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
@@ -57,6 +58,22 @@ def test_scan_handles_malformed_lines():
     assert summary.total == 3 and summary.parse_errors == 1
     assert rows[1].status.startswith("parse_error")
     assert rows[0].status == "exact" and rows[2].status == "exact"
+
+
+def test_scan_survives_a_solver_error(monkeypatch):
+    real = scan.solve_pmd
+
+    def flaky(g, **kwargs):
+        if g.m == 4:
+            raise RuntimeError("boom")
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(scan, "solve_pmd", flaky)
+    rows, summary = scan_corpus(["A_", "Cl", "C~"], stable_ms=True)
+    assert [r.status for r in rows] == ["exact", "solver_error: RuntimeError: boom", "exact"]
+    assert (summary.total, summary.exact, summary.solver_errors, summary.parse_errors) == (3, 2, 1, 0)
+    assert summary.to_json()["solver_errors"] == 1
+    assert rows_to_csv(rows).splitlines()[2] == "Cl,,,,,,,,solver_error: RuntimeError: boom,,,,,0"
 
 
 def test_scan_serial_deterministic():
