@@ -5,9 +5,22 @@ set R starts with an inclusion-maximal positive matching of (V, R) and
 continues on what is left. Restricting to maximal first parts is safe:
 any valid decomposition stays valid after growing its first part and
 shrinking the later ones, because removing host edges only removes
-negativity constraints. Candidate parts are screened by the
-alternating-walk obstruction kernel, whose acyclicity test is exact:
-a part passes exactly when it is positive (see _purekernel).
+negativity constraints.
+
+A matching M of the stage graph is positive exactly when its
+alternating-walk digraph is acyclic: one arc x -> mate(y) for every
+non-part host edge {x, y} with both ends matched (kernel.py explains
+why). Parts are grown one edge at a time, so the screen is incremental.
+Adding {a, b} with both ends unmatched adds arcs only at a and b:
+y -> b and a -> mate(y) for every matched host neighbour y of a, and
+y -> a and b -> mate(y) for every matched host neighbour y of b. A new
+cycle must pass through a or b. Each branch carries ``reach[v]``: for a
+matched v the matched vertices reachable from v, for an unmatched v the
+ones it would reach once matched. ``_closes_cycle`` decides a candidate
+edge from reach[a] and reach[b] with a few mask operations, without
+rebuilding the digraph, and ``_extend`` updates ``reach`` in one pass
+for the branches the search enters.
+
 Subproblems are memoized on the remaining edge set, and stages are
 pruned whenever the residual max degree exceeds the remaining part
 budget. The certificate of each reported stage comes from a topological
@@ -22,7 +35,6 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import kernel
 from .graphs import Graph, is_forest, max_degree
 from .posmatch import (WeightCertificate, check_certificate,
                        is_positive_matching, walk_certificate)
@@ -81,8 +93,8 @@ def default_node_budget() -> int:
 def _stage_certificate(n, host, part):
     """Certificate for one stage from the alternating-walk order, re-checked.
 
-    Every part the solver proposes is positive (the kernel admitted it,
-    or it is a color class of a forest), so a missing or failing
+    Every part the solver proposes is positive (the walk screen admitted
+    it, or it is a color class of a forest), so a missing or failing
     certificate is a solver bug."""
     cert = walk_certificate(n, host, part)
     if cert is None:
@@ -90,6 +102,48 @@ def _stage_certificate(n, host, part):
     if not check_certificate(host, part, cert):
         raise RuntimeError(f"walk certificate for stage part {part} fails its check")
     return cert
+
+
+# ---------------------------------------------------------------------------
+# incremental alternating-walk screen
+#
+# Vertex sets are bitmasks: nbr[v] holds v's neighbours in the stage
+# graph and used the matched vertices. reach[v] is, for a matched v, the
+# matched vertices reachable from v (v included); for an unmatched v, the
+# union of reach[mate y] over v's matched neighbours y, which is where v
+# would walk once matched. The digraph of the current matching is
+# acyclic on entry.
+
+def _closes_cycle(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> bool:
+    """Would adding the edge {a, b} (both ends unmatched) close a cycle?
+
+    The new arcs are y -> b and a -> mate(y) for y in into_b, and y -> a
+    and b -> mate(y) for y in into_a; so a walks on to reach[a] and b to
+    reach[b]. A cycle returns to a alone, to b alone, or passes both."""
+    into_b = nbr[a] & used
+    into_a = nbr[b] & used
+    ra, rb = reach[a], reach[b]
+    return bool(ra & into_a or rb & into_b or (ra & into_b and rb & into_a))
+
+
+def _extend(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> list[int]:
+    """reach after adding {a, b}, which must not close a cycle; one pass."""
+    into_b = nbr[a] & used
+    into_a = nbr[b] & used
+    ra = 1 << a | reach[a]
+    rb = 1 << b | reach[b]
+    # at most one of a ~> b and b ~> a holds, or there would be a cycle
+    if ra & into_b:
+        ra |= rb
+    elif rb & into_a:
+        rb |= ra
+    # a walk into into_b continues through b, one into into_a through a;
+    # an unmatched neighbour of a walks to mate(a) = b, one of b to a
+    reach = [r | (rb if r & into_b or nv >> a & 1 else 0)
+             | (ra if r & into_a or nv >> b & 1 else 0)
+             for r, nv in zip(reach, nbr)]
+    reach[a], reach[b] = ra, rb
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +163,6 @@ class _Solver:
             self.vmask[v] |= 1 << i
         self.memo_lo: dict[int, int] = {}
         self.memo_part: dict[int, tuple[int, int]] = {}   # mask -> (length, first part)
-        self.feas_cache: dict[tuple[int, int], bool] = {}
 
     # -- bookkeeping
 
@@ -121,69 +174,51 @@ class _Solver:
             raise BudgetExhausted
 
     def _maxdeg(self, mask: int) -> int:
-        return max((bin(vm & mask).count("1") for vm in self.vmask), default=0)
-
-    # -- feasibility screen (kernel)
-
-    def _screen(self, part_mask: int, host_mask: int) -> bool:
-        if part_mask & (part_mask - 1) == 0:
-            return True   # single edges always admit a certificate
-        key = (host_mask, part_mask)
-        hit = self.feas_cache.get(key)
-        if hit is not None:
-            return hit
-        mate = [-1] * self.g.n
-        pm = part_mask
-        while pm:
-            b = pm & -pm
-            u, v = self.edges[b.bit_length() - 1]
-            mate[u], mate[v] = v, u
-            pm ^= b
-        host_u, host_v = [], []
-        rest = host_mask & ~part_mask
-        while rest:
-            b = rest & -rest
-            u, v = self.edges[b.bit_length() - 1]
-            host_u.append(u)
-            host_v.append(v)
-            rest ^= b
-        ok = kernel.obstruction_free(mate, host_u, host_v)
-        self.feas_cache[key] = ok
-        return ok
+        return max(((vm & mask).bit_count() for vm in self.vmask), default=0)
 
     # -- stage enumeration
 
-    def _maximal_parts(self, host_mask: int) -> list[int]:
-        """Inclusion-maximal screened matchings of the stage graph, largest first."""
+    def _stage(self, host_mask: int) -> tuple[list[tuple[int, int, int, int]], list[int]]:
+        """The stage's edges as (index, u, v, {u, v}) and its neighbour masks."""
         host = []
+        nbr = [0] * self.g.n
         hm = host_mask
         while hm:
             b = hm & -hm
-            host.append(b.bit_length() - 1)
+            i = b.bit_length() - 1
+            u, v = self.edges[i]
+            host.append((i, u, v, 1 << u | 1 << v))
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
             hm ^= b
+        return host, nbr
+
+    def _maximal_parts(self, host_mask: int) -> list[int]:
+        """Inclusion-maximal positive matchings of the stage graph, largest first."""
+        host, nbr = self._stage(host_mask)
         out = []
 
-        def rec(cur_mask: int, used: int, start: int):
+        def rec(cur_mask: int, used: int, reach: list[int], start: int):
             self._tick()
             extendable = False
             branches = []
-            for i in host:
-                u, v = self.edges[i]
-                if cur_mask >> i & 1 or used >> u & 1 or used >> v & 1:
+            for i, u, v, ends in host:
+                if used & ends:
                     continue
-                if self._screen(cur_mask | 1 << i, host_mask):
+                if i < start and extendable:
+                    continue   # cannot branch here, and maximality is settled
+                if not _closes_cycle(nbr, used, reach, u, v):
                     extendable = True
                     if i >= start:
-                        branches.append(i)
+                        branches.append((i, u, v, ends))
             if not extendable:
                 out.append(cur_mask)
                 return
-            for i in branches:
-                u, v = self.edges[i]
-                rec(cur_mask | 1 << i, used | 1 << u | 1 << v, i + 1)
+            for i, u, v, ends in branches:
+                rec(cur_mask | 1 << i, used | ends, _extend(nbr, used, reach, u, v), i + 1)
 
-        rec(0, 0, 0)
-        return sorted(set(out), key=lambda pm: (-bin(pm).count("1"), pm))
+        rec(0, 0, [0] * self.g.n, 0)
+        return sorted(set(out), key=lambda pm: (-pm.bit_count(), pm))
 
     # -- decision procedure
 
@@ -221,18 +256,16 @@ class _Solver:
         parts = []
         mask = (1 << self.m) - 1
         while mask:
+            host, nbr = self._stage(mask)
             cur, used = 0, 0
-            rest = mask
-            while rest:
-                b = rest & -rest
-                i = b.bit_length() - 1
-                rest ^= b
-                u, v = self.edges[i]
-                if used >> u & 1 or used >> v & 1:
+            reach = [0] * self.g.n
+            for i, u, v, ends in host:
+                if used & ends:
                     continue
-                if self._screen(cur | b, mask):
-                    cur |= b
-                    used |= 1 << u | 1 << v
+                if not _closes_cycle(nbr, used, reach, u, v):
+                    reach = _extend(nbr, used, reach, u, v)
+                    cur |= 1 << i
+                    used |= ends
             parts.append(cur)
             mask &= ~cur
         return parts
@@ -283,16 +316,26 @@ class _Solver:
         return tuple(sorted(out))
 
     def certify(self, part_masks: list[int]) -> PmdDecomposition:
-        """Build and verify stage certificates; raises if any stage fails."""
+        """Build and verify stage certificates; raises if any stage fails.
+
+        The parts must be non-empty, pairwise disjoint matchings that cover
+        every edge; anything else is a solver bug and raises too."""
         parts, certs = [], []
         remaining = (1 << self.m) - 1
-        for pm in part_masks:
+        for stage, pm in enumerate(part_masks, 1):
+            if not pm or pm & ~remaining:
+                raise RuntimeError(f"stage {stage} is empty, repeats an edge "
+                                   "or lies outside the graph")
+            if any((vm & pm) & ((vm & pm) - 1) for vm in self.vmask):
+                raise RuntimeError(f"stage {stage} is not a matching")
             host = self.part_edges(remaining)
             part = self.part_edges(pm)
             cert = _stage_certificate(self.g.n, host, part)
             parts.append(part)
             certs.append(cert)
             remaining &= ~pm
+        if remaining:
+            raise RuntimeError(f"the parts leave {self.part_edges(remaining)} uncovered")
         return PmdDecomposition(tuple(parts), tuple(certs))
 
 

@@ -105,6 +105,23 @@ def test_stage_failures_raise(monkeypatch):
         greedy_upper_bound(complete(4))
 
 
+def test_certify_rejects_bad_part_lists():
+    """certify checks the partition itself with explicit raises."""
+    s = pmd_module._Solver(complete(4), 10 ** 6, 60.0)
+    good = s.greedy_parts()
+    assert len(s.certify(good)) == len(good) == 5
+    bad = {
+        "is empty": [0, *good],
+        "repeats an edge": [good[0], good[0] | good[1], *good[2:]],
+        "outside the graph": [*good, 1 << s.m],
+        "not a matching": [0b11, *good],             # edges 12 and 13
+        "uncovered": good[:-1],
+    }
+    for message, parts in bad.items():
+        with pytest.raises(RuntimeError, match=message):
+            s.certify(parts)
+
+
 def test_lp_certificate_recheck_raises(monkeypatch):
     monkeypatch.setattr(posmatch, "check_certificate", lambda host, part, cert: False)
     with pytest.raises(RuntimeError, match="does not certify"):
