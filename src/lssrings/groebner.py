@@ -98,10 +98,15 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
         return IdealBasis([], order, True)
 
     lms = [leading_monomial(g, order) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def lcm(a, b):
         return tuple(max(x, y) for x, y in zip(a, b))
+
+    def entry(i, j):
+        # selection key of the pair, computed once when the pair is made
+        return order.key(lcm(lms[i], lms[j])), (i, j)
+
+    pairs = {(i, j): entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def coprime(a, b):
         return all(x == 0 or y == 0 for x, y in zip(a, b))
@@ -110,8 +115,8 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
         return all(x <= y for x, y in zip(a, b))
 
     while pairs:
-        i, j = min(pairs, key=lambda p: (order.key(lcm(lms[p[0]], lms[p[1]])), p))
-        pairs.discard((i, j))
+        _, (i, j) = min(pairs.values())
+        del pairs[i, j]
         lij = lcm(lms[i], lms[j])
         if coprime(lms[i], lms[j]):
             continue
@@ -129,7 +134,7 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
         if len(basis) > MAX_BASIS:
             raise DeskScaleExceeded(f"basis exceeded {MAX_BASIS} elements")
         new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
+        pairs.update(((k, new), entry(k, new)) for k in range(new))
 
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []

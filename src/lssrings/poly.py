@@ -2,17 +2,19 @@
 
 A Ring fixes the variable order (vertex-major, column-minor, so y[1,1]
 is the most significant variable); monomials are dense exponent tuples
-over that order. Term comparison is a rational weight vector refined by
+over that order. Term comparison is an integer weight vector refined by
 graded reverse lexicographic order, which is also how elimination
-orders are expressed (weight 1 on the variable to eliminate).
+orders are expressed (weight 1 on the variable to eliminate). Rational
+weights are scaled to integers once, when the order is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .graphs import Graph
-from .rationals import QQ, ZERO, rat_str
+from .rationals import QQ, ZERO, common_denominator, rat_str
 
 
 class Ring:
@@ -89,14 +91,22 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class TermOrder:
-    """Weight vector refined by grevlex; zero weights give plain grevlex."""
+    """Integer weight vector refined by grevlex; zero weights give plain grevlex.
+
+    Rational weights are multiplied by their common denominator on
+    construction; a positive factor leaves the order unchanged.
+    """
 
     ring: Ring
     weights: tuple
 
+    def __post_init__(self):
+        den = common_denominator(self.weights)
+        object.__setattr__(self, "weights", tuple(int(w * den) for w in self.weights))
+
     @staticmethod
     def grevlex(ring: Ring) -> "TermOrder":
-        return TermOrder(ring, (ZERO,) * ring.nvars)
+        return TermOrder(ring, (0,) * ring.nvars)
 
     @staticmethod
     def weighted(ring: Ring, wv: WeightVector) -> "TermOrder":
@@ -105,13 +115,15 @@ class TermOrder:
     @staticmethod
     def elimination(ring: Ring, token) -> "TermOrder":
         """Block order eliminating one variable (weight 1 there, 0 elsewhere)."""
-        w = [ZERO] * ring.nvars
-        w[ring.index[token]] = QQ(1)
+        w = [0] * ring.nvars
+        w[ring.index[token]] = 1
         return TermOrder(ring, tuple(w))
 
+    def weight(self, mono) -> int:
+        return sum(map(mul, self.weights, mono))
+
     def key(self, mono):
-        wdot = sum((w * e for w, e in zip(self.weights, mono) if e), ZERO)
-        return (wdot,) + grevlex_key(mono)
+        return (self.weight(mono),) + grevlex_key(mono)
 
 
 class Polynomial:
@@ -224,25 +236,14 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # leading terms and initial forms
 
-def weight_value(f: Polynomial, wv: WeightVector):
-    """Largest weight attained by a monomial of f."""
-    if f.is_zero():
-        raise ValueError("weight of the zero polynomial")
-    w = wv.on_ring(f.ring)
-    return max(sum((q * e for q, e in zip(w, m) if e), ZERO) for m in f.terms)
-
-
 def initial_form(f: Polynomial, wv: WeightVector) -> Polynomial:
     """Sum of the terms of f attaining the maximal weight."""
     if f.is_zero():
         return f
-    w = wv.on_ring(f.ring)
-
-    def dot(m):
-        return sum((q * e for q, e in zip(w, m) if e), ZERO)
-
-    top = max(dot(m) for m in f.terms)
-    return Polynomial(f.ring, {m: c for m, c in f.terms.items() if dot(m) == top})
+    order = TermOrder.weighted(f.ring, wv)
+    weight = {m: order.weight(m) for m in f.terms}
+    top = max(weight.values())
+    return Polynomial(f.ring, {m: c for m, c in f.terms.items() if weight[m] == top})
 
 
 def leading_monomial(f: Polynomial, order: TermOrder):
@@ -250,14 +251,6 @@ def leading_monomial(f: Polynomial, order: TermOrder):
     if f.is_zero():
         raise ValueError("leading monomial of the zero polynomial")
     return max(f.terms, key=order.key)
-
-
-def leading_coefficient(f: Polynomial, order: TermOrder):
-    return f.terms[leading_monomial(f, order)]
-
-
-def monomial_poly(ring: Ring, mono) -> Polynomial:
-    return Polynomial(ring, {tuple(mono): QQ(1)})
 
 
 def pairwise_coprime_squarefree(monomials) -> bool:
@@ -338,9 +331,7 @@ def matrix_D(g: Graph, v: int, d: int, ring: Ring | None = None) -> Polynomial:
     if t == 0:
         return ring.one()
     rows = [[yvar(ring, nb[r], d - t + 1 + c) for c in range(t)] for r in range(t)]
-    if t <= 5:
-        return _det_laplace(ring, rows)
-    return _det_bareiss(ring, rows)
+    return _det_laplace(ring, rows)
 
 
 def _det_laplace(ring: Ring, rows) -> Polynomial:
@@ -353,46 +344,3 @@ def _det_laplace(ring: Ring, rows) -> Polynomial:
         term = rows[0][c] * _det_laplace(ring, minor)
         out = out + (term if c % 2 == 0 else -term)
     return out
-
-
-def _det_bareiss(ring: Ring, rows) -> Polynomial:
-    """Fraction-free elimination; every division is exact."""
-    a = [row[:] for row in rows]
-    t = len(a)
-    prev = ring.one()
-    sign = 1
-    order = TermOrder.grevlex(ring)
-    for k in range(t - 1):
-        if a[k][k].is_zero():
-            swap = next((r for r in range(k + 1, t) if not a[r][k].is_zero()), None)
-            if swap is None:
-                return ring.zero()
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, t):
-            for j in range(k + 1, t):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_divide(num, prev, order)
-            a[i][k] = ring.zero()
-        prev = a[k][k]
-    det = a[t - 1][t - 1]
-    return det if sign == 1 else -det
-
-
-def exact_divide(f: Polynomial, gpoly: Polynomial, order: TermOrder) -> Polynomial:
-    """Quotient f/g when g divides f exactly; raises otherwise."""
-    if gpoly.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quot = f.ring.zero()
-    rem = f
-    glm = leading_monomial(gpoly, order)
-    glc = gpoly.terms[glm]
-    while not rem.is_zero():
-        rlm = leading_monomial(rem, order)
-        diff = tuple(a - b for a, b in zip(rlm, glm))
-        if any(e < 0 for e in diff):
-            raise ArithmeticError("inexact polynomial division")
-        coeff = rem.terms[rlm] / glc
-        quot = quot + Polynomial(f.ring, {diff: coeff})
-        rem = rem - gpoly.mul_monomial(diff, coeff)
-    return quot

@@ -244,9 +244,6 @@ class WeightCertificate:
     def as_map(self) -> dict[int, int]:
         return dict(self.weights)
 
-    def weight_of(self, v: int) -> int:
-        return self.as_map().get(v, 0)
-
     def to_json(self, part: int | None = None) -> dict:
         d = {str(v): str(w) for v, w in self.weights}
         return {"part": part, "weights": d} if part is not None else {"weights": d}

@@ -19,7 +19,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     BACKEND = "fractions"
 
 ZERO = QQ(0)
-ONE = QQ(1)
 
 
 def is_integer(q) -> bool:

@@ -129,21 +129,13 @@ _RULES = (
 def properties_at(g: Graph, d: int, inv: GraphInvariants) -> PropertyReport:
     """Fire every rule whose hypothesis holds numerically at (G, d)."""
     forest = is_forest(g)
-    fired: dict[str, list[RuleFiring]] = {p: [] for p in PROPERTIES}
     if g.m == 0:
         rf = RuleFiring("polynomial-ring", None,
                         "no edges: the quotient is the polynomial ring itself")
         return PropertyReport(g.n, 0, d, inv, forest,
                               {p: Verdict(True, (rf,)) for p in PROPERTIES})
-    for rule, needs_pmd, forest_only, thresh, grants, stmt, src in _RULES:
-        if needs_pmd and not inv.pmd_exact:
-            continue
-        if forest_only and not forest:
-            continue
-        t = thresh(inv)
-        if d >= t:
-            for prop in grants:
-                fired[prop].append(RuleFiring(rule, t, stmt, src))
+    fired = {p: [rf for rf in rs if rf.threshold <= d]
+             for p, rs in threshold_table(g, inv).items()}
     for fact in knowledge_base():
         if fact.status != "theorem" or fact.grants is None:
             continue

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from lssrings.graphs import parse_edge_list, path, star
+from lssrings.graphs import complete, parse_edge_list, path, star
 from lssrings.groebner import (DeskScaleExceeded, MonomialIdeal, buchberger,
                                ci_multiplicity, ideal_intersection,
                                ideal_member, initial_ideal, minimalize,
@@ -332,7 +332,7 @@ def test_reduced_bases_match_sympy_on_random_ideals():
 
 def test_edge_quadric_bases_match_sympy():
     import sympy as sp
-    for g, d in ((path(4), 3), (star(3), 4)):
+    for g, d in ((path(4), 3), (star(3), 4), (complete(4), 3)):
         ring = ring_for(g.n, d)
         syms = [sp.Symbol(f"y_{t[1]}_{t[2]}") for t in ring.tokens]
         gens = [f for _, f in lss_generators(g, d, ring)]
@@ -343,6 +343,21 @@ def test_edge_quadric_bases_match_sympy():
                         key=lambda f: sorted(f.terms))
         assert len(mine) == len(theirs)
         assert all(a == b for a, b in zip(mine, theirs))
+
+
+def test_weighted_basis_is_invariant_under_scaling():
+    """Integer weights are the given ones times their common denominator;
+    the same weights times 7/3 give the same order and the same basis."""
+    d = 3
+    ring = ring_for(EXAMPLE.n, d)
+    wv = weight_from_pmd(pmd(EXAMPLE).decomposition, d)
+    order = TermOrder.weighted(ring, wv)
+    scaled = TermOrder(ring, tuple(q * QQ(7, 3) for q in wv.on_ring(ring)))
+    for o in (order, scaled):
+        assert all(type(w) is int for w in o.weights)
+        assert type(o.key((1,) * ring.nvars)[0]) is int
+    gens = [f for _, f in lss_generators(EXAMPLE, d, ring)]
+    assert buchberger(gens, order).generators == buchberger(gens, scaled).generators
 
 
 def test_intersection_generators_lie_in_both_ideals():
