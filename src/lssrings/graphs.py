@@ -86,11 +86,9 @@ _G6_MIN, _G6_MAX = 63, 126
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; errors name the offending byte offset."""
-    s = line.strip()
+    s = line.strip().removeprefix(">>graph6<<")
     if not s:
         raise GraphFormatError("empty graph6 line")
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
     b0 = ord(s[0])
     if b0 == 126:
         raise GraphFormatError("byte 0: multi-byte size field (n > 62) unsupported")
@@ -207,20 +205,24 @@ def gapped(n: int) -> Graph:
     return Graph.from_edges(2 * n - 2, pairs)
 
 
-_FAMILIES = {
-    "star": lambda p: star(int(p[0])),
-    "path": lambda p: path(int(p[0])),
-    "cycle": lambda p: cycle(int(p[0])),
-    "complete": lambda p: complete(int(p[0])),
-    "complete_bipartite": lambda p: complete_bipartite(int(p[0]), int(p[1])),
-    "gapped": lambda p: gapped(int(p[0])),
+_FAMILIES = {   # name -> (constructor, number of parameters)
+    "star": (star, 1),
+    "path": (path, 1),
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "complete_bipartite": (complete_bipartite, 2),
+    "gapped": (gapped, 1),
 }
 
 
 def family(kind: str, *params) -> Graph:
     if kind not in _FAMILIES:
         raise GraphFormatError(f"unknown family {kind!r}")
-    return _FAMILIES[kind](params)
+    make, arity = _FAMILIES[kind]
+    if len(params) != arity:
+        raise GraphFormatError(f"family {kind!r} takes {arity} parameter"
+                               f"{'s' if arity > 1 else ''}, got {len(params)}")
+    return make(*map(int, params))
 
 
 # ---------------------------------------------------------------------------

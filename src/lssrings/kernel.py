@@ -4,14 +4,14 @@ A matching M of a host graph is positive exactly when the digraph with
 an arc x -> mate(y) for every remaining host edge {x, y} inside the
 matched vertex set is acyclic. A directed cycle yields a telescoping
 identity equating a sum of the part's (positive) edge sums with a sum of
-remaining (negative) edge sums, so no weight function can exist. An
-acyclic digraph has a topological order, and posmatch.walk_certificate
-turns that order into integer weights. The test is therefore exact, and
-the certificate of every accepted part comes from the same digraph.
+remaining (negative) edge sums, so no weight function can exist; an
+acyclic digraph has integer weights (posmatch.walk_weights).
 
-The solver in pmd.py runs the same test incrementally, one added edge at
-a time; this batch form rebuilds the digraph from scratch and serves as
-the reference it is tested against.
+The solver never calls it: the incremental screen in posmatch.py
+decides the test and builds every certificate. This batch form
+rebuilds the digraph from scratch and peels it by indegree; the tests
+use it as an independent reference, and the benchmark's tracer binds
+``obstruction_free`` and ``BACKEND`` by name.
 """
 
 from __future__ import annotations

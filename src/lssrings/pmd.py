@@ -8,25 +8,21 @@ shrinking the later ones, because removing host edges only removes
 negativity constraints.
 
 A matching M of the stage graph is positive exactly when its
-alternating-walk digraph is acyclic: one arc x -> mate(y) for every
-non-part host edge {x, y} with both ends matched (kernel.py explains
-why). Parts are grown one edge at a time, so the screen is incremental.
-Adding {a, b} with both ends unmatched adds arcs only at a and b:
-y -> b and a -> mate(y) for every matched host neighbour y of a, and
-y -> a and b -> mate(y) for every matched host neighbour y of b. A new
-cycle must pass through a or b. Each branch carries ``reach[v]``: for a
-matched v the matched vertices reachable from v, for an unmatched v the
-ones it would reach once matched. ``_closes_cycle`` decides a candidate
-edge from reach[a] and reach[b] with a few mask operations, without
-rebuilding the digraph, and ``_extend`` updates ``reach`` in one pass
-for the branches the search enters.
+alternating-walk digraph is acyclic (posmatch.py explains why). Parts
+are grown one edge at a time, and each branch carries the reach sets of
+posmatch's incremental screen: ``_closes_cycle`` decides a candidate
+edge with a few mask operations, without building the digraph, and
+``_extend`` updates the sets in one pass for the branches the search
+enters.
 
 Subproblems are memoized on the remaining edge set, and stages are
 pruned whenever the residual max degree exceeds the remaining part
-budget. The certificate of each reported stage comes from a topological
-order of the same digraph (posmatch.walk_certificate) and is re-checked
-before anything is returned. The exact LP is not on this path; it
-serves only as the independent oracle in pmd_bruteforce.
+budget. The certificate of each reported stage comes from the same
+screen: ``posmatch.walk_weights`` folds ``_extend`` over the part's
+edges and turns the final reach sets into integer weights, which
+``check_certificate`` re-checks before anything is returned. The exact
+LP is not on this path; it serves only as the independent oracle in
+pmd_bruteforce.
 """
 
 from __future__ import annotations
@@ -36,8 +32,8 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph, is_forest, max_degree
-from .posmatch import (WeightCertificate, check_certificate,
-                       is_positive_matching, walk_certificate)
+from .posmatch import (WeightCertificate, _closes_cycle, _extend,
+                       check_certificate, is_positive_matching, walk_weights)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 DEFAULT_TIME_BUDGET = 60.0
@@ -85,65 +81,6 @@ class PmdResult:
 def default_node_budget() -> int:
     env = os.environ.get("LSS_BUDGET_NODES")
     return int(env) if env else DEFAULT_NODE_BUDGET
-
-
-# ---------------------------------------------------------------------------
-# certificate construction for a single stage
-
-def _stage_certificate(n, host, part):
-    """Certificate for one stage from the alternating-walk order, re-checked.
-
-    Every part the solver proposes is positive (the walk screen admitted
-    it, or it is a color class of a forest), so a missing or failing
-    certificate is a solver bug."""
-    cert = walk_certificate(n, host, part)
-    if cert is None:
-        raise RuntimeError(f"stage part {part} is not a positive matching")
-    if not check_certificate(host, part, cert):
-        raise RuntimeError(f"walk certificate for stage part {part} fails its check")
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# incremental alternating-walk screen
-#
-# Vertex sets are bitmasks: nbr[v] holds v's neighbours in the stage
-# graph and used the matched vertices. reach[v] is, for a matched v, the
-# matched vertices reachable from v (v included); for an unmatched v, the
-# union of reach[mate y] over v's matched neighbours y, which is where v
-# would walk once matched. The digraph of the current matching is
-# acyclic on entry.
-
-def _closes_cycle(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> bool:
-    """Would adding the edge {a, b} (both ends unmatched) close a cycle?
-
-    The new arcs are y -> b and a -> mate(y) for y in into_b, and y -> a
-    and b -> mate(y) for y in into_a; so a walks on to reach[a] and b to
-    reach[b]. A cycle returns to a alone, to b alone, or passes both."""
-    into_b = nbr[a] & used
-    into_a = nbr[b] & used
-    ra, rb = reach[a], reach[b]
-    return bool(ra & into_a or rb & into_b or (ra & into_b and rb & into_a))
-
-
-def _extend(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> list[int]:
-    """reach after adding {a, b}, which must not close a cycle; one pass."""
-    into_b = nbr[a] & used
-    into_a = nbr[b] & used
-    ra = 1 << a | reach[a]
-    rb = 1 << b | reach[b]
-    # at most one of a ~> b and b ~> a holds, or there would be a cycle
-    if ra & into_b:
-        ra |= rb
-    elif rb & into_a:
-        rb |= ra
-    # a walk into into_b continues through b, one into into_a through a;
-    # an unmatched neighbour of a walks to mate(a) = b, one of b to a
-    reach = [r | (rb if r & into_b or nv >> a & 1 else 0)
-             | (ra if r & into_a or nv >> b & 1 else 0)
-             for r, nv in zip(reach, nbr)]
-    reach[a], reach[b] = ra, rb
-    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +265,17 @@ class _Solver:
                                    "or lies outside the graph")
             if any((vm & pm) & ((vm & pm) - 1) for vm in self.vmask):
                 raise RuntimeError(f"stage {stage} is not a matching")
-            host = self.part_edges(remaining)
-            part = self.part_edges(pm)
-            cert = _stage_certificate(self.g.n, host, part)
+            # every proposed part is positive (the screen admitted it, or it
+            # is a colour class of a forest), so a failure is a solver bug
+            host, nbr = self._stage(remaining)
+            pairs = [(u, v) for i, u, v, _ in host if pm >> i & 1]
+            part = tuple((u + 1, v + 1) for u, v in pairs)
+            w = walk_weights(nbr, pairs)
+            if w is None:
+                raise RuntimeError(f"stage part {part} is not a positive matching")
+            cert = WeightCertificate(tuple(enumerate(w, 1)))
+            if not check_certificate([(u + 1, v + 1) for _, u, v, _ in host], part, cert):
+                raise RuntimeError(f"walk certificate for stage part {part} fails its check")
             parts.append(part)
             certs.append(cert)
             remaining &= ~pm

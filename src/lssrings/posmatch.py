@@ -9,16 +9,18 @@ phase-1 simplex over exact rationals with Bland's rule. A
 Fourier-Motzkin eliminator is kept alongside as an independent test
 oracle for small systems.
 
-The solver does not use the LP: ``walk_certificate`` decides the same
-question combinatorially and builds integer weights from a topological
-order of the alternating-walk digraph. The LP and Fourier-Motzkin stay
-as independent oracles for tests and for pmd_bruteforce.
+The solver does not use the LP. It decides the same question with the
+incremental alternating-walk screen at the end of this module
+(``_closes_cycle`` and ``_extend``), which carries the reach set of
+every vertex; ``walk_weights`` turns the final reach sets into integer
+weights, and ``walk_certificate`` is the same on edge tuples. The LP and
+Fourier-Motzkin stay as independent oracles for tests and for
+pmd_bruteforce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from .rationals import QQ, ZERO, scale_to_integers
 
@@ -323,59 +325,116 @@ def check_certificate(host_edges, part, cert: WeightCertificate) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# the alternating-walk screen
+#
+# M is positive exactly when its alternating-walk digraph is acyclic: one
+# arc x -> mate(y) for every non-part host edge {x, y} with both ends
+# matched. A directed cycle makes a sum of part edge sums equal a sum of
+# non-part edge sums, so no weighting exists; an acyclic digraph yields
+# the weights of ``walk_weights``.
+#
+# The screen grows M one edge at a time. Adding {a, b} with both ends
+# unmatched adds arcs only at a and b: y -> b and a -> mate(y) for every
+# matched host neighbour y of a, and y -> a and b -> mate(y) for every
+# matched host neighbour y of b, so a new cycle must pass through a or b.
+#
+# Vertex sets are bitmasks: nbr[v] holds v's neighbours in the host
+# graph and used the matched vertices. reach[v] is, for a matched v, the
+# matched vertices reachable from v (v included); for an unmatched v, the
+# union of reach[mate y] over v's matched neighbours y, which is where v
+# would walk once matched. The digraph of the current matching is
+# acyclic on entry.
+
+def _closes_cycle(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> bool:
+    """Would adding the edge {a, b} (both ends unmatched) close a cycle?
+
+    The new arcs are y -> b and a -> mate(y) for y in into_b, and y -> a
+    and b -> mate(y) for y in into_a; so a walks on to reach[a] and b to
+    reach[b]. A cycle returns to a alone, to b alone, or passes both."""
+    into_b = nbr[a] & used
+    into_a = nbr[b] & used
+    ra, rb = reach[a], reach[b]
+    return bool(ra & into_a or rb & into_b or (ra & into_b and rb & into_a))
+
+
+def _extend(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> list[int]:
+    """reach after adding {a, b}, which must not close a cycle; one pass."""
+    into_b = nbr[a] & used
+    into_a = nbr[b] & used
+    ra = 1 << a | reach[a]
+    rb = 1 << b | reach[b]
+    # at most one of a ~> b and b ~> a holds, or there would be a cycle
+    if ra & into_b:
+        ra |= rb
+    elif rb & into_a:
+        rb |= ra
+    # a walk into into_b continues through b, one into into_a through a;
+    # an unmatched neighbour of a walks to mate(a) = b, one of b to a
+    reach = [r | (rb if r & into_b or nv >> a & 1 else 0)
+             | (ra if r & into_a or nv >> b & 1 else 0)
+             for r, nv in zip(reach, nbr)]
+    reach[a], reach[b] = ra, rb
+    return reach
+
+
+def walk_weights(nbr: list[int], pairs: list[tuple[int, int]]) -> list[int] | None:
+    """Integer weights for the part ``pairs`` of the host ``nbr``, or None.
+
+    Vertices are 0-based indices into ``nbr``, and every pair must be a
+    host edge. The pairs are added one at a time with ``_extend``; the
+    result is None when a pair touches a matched vertex or
+    ``_closes_cycle`` fires. Otherwise, with |reach[v]| the popcount of
+    the final reach set,
+
+        w(v) = 2 (|reach[mate v]| - |reach[v]|) + 1    on matched vertices,
+        w(v) = -(max |w| + 1)                          everywhere else.
+
+    For a matched v, reach[v] is v plus every vertex v reaches, so an arc
+    v -> u gives reach[v] a strict superset of reach[u] (u cannot reach v
+    back), and -|reach| is a strict rank. Every part edge then sums to 2.
+    A non-part edge {x, y} with both ends matched has arcs x -> mate(y)
+    and y -> mate(x), so it sums to
+    2 (|reach[mate x]| - |reach[y]|) + 2 (|reach[mate y]| - |reach[x]|) + 2
+    <= -2, and one with an unmatched end sums to at most -1. The final
+    reach sets depend only on the part and the host, not on the order in
+    which the pairs were added, and neither do the weights.
+    """
+    used = 0
+    reach = [0] * len(nbr)
+    for a, b in pairs:
+        ends = 1 << a | 1 << b
+        if used & ends or _closes_cycle(nbr, used, reach, a, b):
+            return None
+        reach = _extend(nbr, used, reach, a, b)
+        used |= ends
+    w = [0] * len(nbr)
+    for a, b in pairs:
+        ra, rb = reach[a].bit_count(), reach[b].bit_count()
+        w[a] = 2 * (rb - ra) + 1
+        w[b] = 2 * (ra - rb) + 1
+    low = -(max(map(abs, w), default=0) + 1)
+    return [x if used >> v & 1 else low for v, x in enumerate(w)]
+
+
 def walk_certificate(n: int, host_edges, part) -> WeightCertificate | None:
-    """Integer certificate from the alternating-walk order, or None.
+    """``walk_weights`` on 1-based edge tuples: a certificate, or None.
 
-    The digraph has an arc x -> mate(y) for every non-part host edge
-    {x, y} with both ends matched. A directed cycle makes a sum of part
-    edge sums equal a sum of non-part edge sums, so no weighting exists
-    and the result is None. Otherwise let r(v) be the length of the
-    longest path ending at v (the Kahn level) and set
-
-        w(v) = 2 (r(v) - r(mate v)) + 1      on matched vertices,
-        w(v) = -(max |w| + 1)                everywhere else.
-
-    Every part edge then sums to 2. A non-part edge with both ends
-    matched sums to 2 (r(x) - r(mate y)) + 2 (r(y) - r(mate x)) + 2 <= -2,
-    and one with an unmatched end sums to at most -1. Vertices 1..n all
-    get a weight. Deterministic: the levels do not depend on visiting
-    order. A part that is not a matching returns None.
+    None means the part is not a matching or its alternating-walk digraph
+    has a cycle. Vertices 1..n and every host vertex get a weight. The
+    part must be a subset of the host.
     """
     host = _normalize_edges(host_edges)
     m = _normalize_edges(part)
     if not m <= host:
         raise MatchingArgumentError("part is not a subset of the host edge set")
-    mate: dict[int, int] = {}
-    for i, j in m:
-        if i in mate or j in mate:
-            return None
-        mate[i], mate[j] = j, i
-    succ: dict[int, list[int]] = {}
-    indeg = dict.fromkeys(mate, 0)
-    for x, y in host - m:
-        mx, my = mate.get(x), mate.get(y)
-        if mx is not None and my is not None:
-            succ.setdefault(x, []).append(my)
-            indeg[my] += 1
-            succ.setdefault(y, []).append(mx)
-            indeg[mx] += 1
-    rank: dict[int, int] = {}
-    level = [v for v, d in indeg.items() if d == 0]
-    r = 0
-    while level:
-        nxt = []
-        for v in level:
-            rank[v] = r
-            for t in succ.get(v, ()):
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    nxt.append(t)
-        level = nxt
-        r += 1
-    if len(rank) < len(mate):
+    labels = sorted(set(range(1, n + 1)).union(*host))
+    index = {v: k for k, v in enumerate(labels)}
+    nbr = [0] * len(labels)
+    for i, j in host:
+        nbr[index[i]] |= 1 << index[j]
+        nbr[index[j]] |= 1 << index[i]
+    w = walk_weights(nbr, [(index[i], index[j]) for i, j in m])
+    if w is None:
         return None
-    matched = {v: 2 * (rank[v] - rank[mate[v]]) + 1 for v in mate}
-    low = -(max(map(abs, matched.values()), default=0) + 1)
-    w = dict.fromkeys(chain(range(1, n + 1), chain.from_iterable(host)), low)
-    w.update(matched)
-    return WeightCertificate(tuple(sorted(w.items())))
+    return WeightCertificate(tuple(zip(labels, w)))

@@ -1,46 +1,34 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic: ``QQ`` is ``fractions.Fraction``.
 
-gmpy2.mpq is used when available (noticeably faster on pivot-heavy
-workloads); fractions.Fraction is the drop-in fallback. Everything in
-the package goes through ``QQ`` so the two backends stay interchangeable.
+Everything in the package builds its rationals through ``QQ``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction as QQ
 
-try:
-    from gmpy2 import mpq as QQ
-
-    BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
-
-    BACKEND = "fractions"
+BACKEND = "fractions"   # perfbench/run.py reports it in its environment block
 
 ZERO = QQ(0)
-
-
-def is_integer(q) -> bool:
-    return q.denominator == 1
 
 
 def common_denominator(values) -> int:
     """Least common multiple of the denominators of ``values``."""
     den = 1
     for q in values:
-        den = math.lcm(den, int(q.denominator))
+        den = math.lcm(den, q.denominator)
     return den
 
 
 def scale_to_integers(values: dict) -> dict:
     """Scale a rational-valued map by the common denominator; values become int."""
     den = common_denominator(values.values())
-    return {k: int(q.numerator) * (den // int(q.denominator)) for k, q in values.items()}
+    return {k: q.numerator * (den // q.denominator) for k, q in values.items()}
 
 
 def rat_str(q) -> str:
     """Render exactly: '3' or '-2/7'."""
-    if is_integer(q):
-        return str(int(q.numerator))
-    return f"{int(q.numerator)}/{int(q.denominator)}"
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"{q.numerator}/{q.denominator}"

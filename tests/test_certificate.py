@@ -52,6 +52,32 @@ def test_walk_certificate_exists_exactly_when_lp_says_positive(case):
         assert set(cert.as_map()) == set(range(1, n + 1))
 
 
+@settings(max_examples=250, deadline=None)
+@given(graph_and_matching(), st.randoms(use_true_random=False))
+def test_walk_certificate_ignores_edge_order(case, rnd):
+    """The final reach sets depend only on the part and the host, so the
+    certificate is the same for every order of either edge list, and
+    walk_weights gives the same weights whatever order it adds the part in."""
+    n, host, part = case
+    cert = walk_certificate(n, host, part)
+    nbr = [0] * n
+    for i, j in host:
+        nbr[i - 1] |= 1 << j - 1
+        nbr[j - 1] |= 1 << i - 1
+    pairs = [(i - 1, j - 1) for i, j in part]
+    weights = posmatch.walk_weights(nbr, pairs)
+    for _ in range(4):
+        host2, part2, pairs2 = host[:], part[:], pairs[:]
+        for seq in (host2, part2, pairs2):
+            rnd.shuffle(seq)
+        assert walk_certificate(n, [(j, i) if rnd.random() < 0.5 else (i, j)
+                                    for i, j in host2], part2) == cert
+        assert posmatch.walk_weights(nbr, [(j, i) if rnd.random() < 0.5 else (i, j)
+                                           for i, j in pairs2]) == weights
+    if cert is not None:
+        assert cert.weights == tuple(enumerate(weights, 1))
+
+
 def test_walk_certificate_agrees_with_kernel_exhaustively(all_n5):
     for g in all_n5:
         host = list(g.edge_labels())
@@ -75,8 +101,9 @@ def test_walk_certificate_agrees_with_kernel_exhaustively(all_n5):
 
 def test_walk_certificate_small_cases():
     cert = walk_certificate(4, EXAMPLE_EDGES, [(1, 2), (3, 4)])
-    # arcs 2 -> 4, 2 -> 3, 3 -> 1, 4 -> 1 give levels r = (2, 0, 1, 1)
-    assert cert == WeightCertificate.from_map({1: 5, 2: -3, 3: 1, 4: 1})
+    # arcs 2 -> 4, 2 -> 3, 3 -> 1, 4 -> 1 give |reach| = 1, 4, 2, 2 for
+    # vertices 1-4, and w(v) = 2 (|reach[mate v]| - |reach[v]|) + 1
+    assert cert == WeightCertificate.from_map({1: 7, 2: -5, 3: 1, 4: 1})
     assert walk_certificate(4, C4_EDGES, [(1, 2), (3, 4)]) is None
     assert walk_certificate(4, EXAMPLE_EDGES, [(1, 2), (2, 3)]) is None
     assert walk_certificate(3, [], []) == WeightCertificate.from_map({1: -1, 2: -1, 3: -1})
@@ -96,7 +123,7 @@ def test_solver_never_calls_the_lp(connected_n6, monkeypatch):
 
 
 def test_stage_failures_raise(monkeypatch):
-    monkeypatch.setattr(pmd_module, "walk_certificate", lambda n, host, part: None)
+    monkeypatch.setattr(pmd_module, "walk_weights", lambda nbr, pairs: None)
     with pytest.raises(RuntimeError, match="not a positive matching"):
         pmd(complete(4))
     monkeypatch.undo()

@@ -60,6 +60,13 @@ def test_scan_handles_malformed_lines():
     assert rows[0].status == "exact" and rows[2].status == "exact"
 
 
+def test_scan_survives_a_header_only_line():
+    rows, summary = scan_corpus(["Bw", ">>graph6<<", "Cw"], stable_ms=True)
+    assert len(rows) == 3 and summary.parse_errors == 1
+    assert rows[1].status == "parse_error: empty graph6 line"
+    assert rows[0].status == "exact" and rows[2].status == "exact"
+
+
 def test_scan_survives_a_solver_error(monkeypatch):
     real = scan.solve_pmd
 
@@ -131,6 +138,17 @@ def test_cli_pmd_certificate(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["value"] == 3 and data["status"] == "exact"
     assert len(data["certificates"]) == 3
+
+
+def test_cli_family_spec_with_wrong_parameter_count(capsys):
+    for spec, message in [
+        ("complete:", "'complete' takes 1 parameter, got 0"),
+        ("complete_bipartite:3", "'complete_bipartite' takes 2 parameters, got 1"),
+        ("star:3,4", "'star' takes 1 parameter, got 2"),
+    ]:
+        assert cli_main(["pmd", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: family {message}\n" and not captured.out
 
 
 def test_cli_thresholds(capsys):

@@ -14,7 +14,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lssrings import kernel
+from lssrings import kernel, posmatch
 from lssrings.graphs import Graph, complete, complete_bipartite
 from lssrings.pmd import pmd
 
@@ -69,11 +69,11 @@ def _step(g, host, nbr, state, edge):
     None."""
     part, used, mate, reach = state
     i, u, v, ends = edge
-    closes = pmd_module._closes_cycle(nbr, used, reach, u, v)
+    closes = posmatch._closes_cycle(nbr, used, reach, u, v)
     assert (not closes) == _batch_free(g.n, host, part | {i}), (g.edges, part, i)
     if closes:
         return None
-    reach = pmd_module._extend(nbr, used, reach, u, v)
+    reach = posmatch._extend(nbr, used, reach, u, v)
     used |= ends
     mate = mate[:]
     mate[u], mate[v] = v, u
