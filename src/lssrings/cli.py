@@ -5,8 +5,8 @@ Graphs are given as a family spec ("star:3", "path:6", "cycle:4",
 graph6 literal, or a path to a file holding either an edge list
 ("n" header then "i j" lines) or graph6 lines.
 
-Exit codes: 0 success (findings included), 1 argument or input error,
-2 desk-scale guard tripped.
+Exit codes: 0 success (findings included), 1 argument or input error
+(usage errors included), 2 desk-scale guard tripped.
 """
 
 from __future__ import annotations
@@ -200,10 +200,25 @@ def cmd_trees(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the argument-error code; 2 is the desk-scale guard."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lssrings",
-                                description="positive matching decompositions "
-                                            "and the ring invariants they control")
+    p = _Parser(prog="lssrings",
+                description="positive matching decompositions "
+                            "and the ring invariants they control")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("invariants", help="degree, degeneracy, alpha")
@@ -214,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("pmd", help="exact pmd with certificates")
     sp.add_argument("graph")
     sp.add_argument("--certificate", action="store_true")
-    sp.add_argument("--budget", type=int, default=None, help="node budget")
+    sp.add_argument("--budget", type=positive_int, default=None, help="node budget")
     sp.set_defaults(func=cmd_pmd)
 
     sp = sub.add_parser("thresholds", help="property report at a given d")
     sp.add_argument("graph")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=positive_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_thresholds)
 
@@ -232,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="scan a graph6 corpus")
     sp.add_argument("corpus")
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--budget", type=positive_int, default=None)
+    sp.add_argument("--jobs", type=positive_int, default=1)
     sp.add_argument("--max-n", type=int, default=None)
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--csv", dest="output", default=None,
@@ -248,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--check", action="store_true",
                     help="assert pmd = degree on every tree")
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--budget", type=positive_int, default=None)
     sp.set_defaults(func=cmd_trees)
     return p
 

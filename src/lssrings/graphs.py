@@ -303,21 +303,6 @@ def is_forest(g: Graph) -> bool:
     return True
 
 
-def is_path_graph(g: Graph) -> bool:
-    if g.n == 1:
-        return g.m == 0
-    deg = g.degrees()
-    return (is_forest(g) and g.m == g.n - 1
-            and deg.count(1) == 2 and deg.count(2) == g.n - 2)
-
-
-def is_star_graph(g: Graph) -> bool:
-    if g.n == 1:
-        return g.m == 0
-    deg = g.degrees()
-    return g.m == g.n - 1 and deg.count(g.n - 1) == 1 and deg.count(1) == g.n - 1
-
-
 def is_cycle_graph(g: Graph) -> bool:
     return g.n >= 3 and g.m == g.n and all(d == 2 for d in g.degrees()) and not is_forest(g)
 

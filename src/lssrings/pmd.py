@@ -17,12 +17,13 @@ enters.
 
 Subproblems are memoized on the remaining edge set, and stages are
 pruned whenever the residual max degree exceeds the remaining part
-budget. The certificate of each reported stage comes from the same
-screen: ``posmatch.walk_weights`` folds ``_extend`` over the part's
-edges and turns the final reach sets into integer weights, which
-``check_certificate`` re-checks before anything is returned. The exact
-LP is not on this path; it serves only as the independent oracle in
-pmd_bruteforce.
+budget. ``_Solver.certify`` only builds the certificate of each
+reported stage, from the same screen: ``posmatch.walk_weights`` folds
+``_extend`` over the part's edges and turns the final reach sets into
+integer weights. ``verify_decomposition`` is the one re-check: every
+result passes it (the partition, then ``check_certificate`` per stage)
+before it is returned. The exact LP is not on this path; it serves only
+as the independent oracle in pmd_bruteforce.
 """
 
 from __future__ import annotations
@@ -79,8 +80,12 @@ class PmdResult:
 
 
 def default_node_budget() -> int:
-    env = os.environ.get("LSS_BUDGET_NODES")
-    return int(env) if env else DEFAULT_NODE_BUDGET
+    env = os.environ.get("LSS_BUDGET_NODES", "").strip()
+    if not env:
+        return DEFAULT_NODE_BUDGET
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"LSS_BUDGET_NODES must be a positive integer, got {env!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +183,7 @@ class _Solver:
         for pm in self._maximal_parts(mask):
             if self.decide(mask & ~pm, q - 1):
                 sub = self.memo_part.get(mask & ~pm)
-                total = 1 + (sub[0] if sub else 0)
-                old = self.memo_part.get(mask)
-                if old is None or total < old[0]:
-                    self.memo_part[mask] = (total, pm)
+                self.memo_part[mask] = (1 + (sub[0] if sub else 0), pm)
                 return True
         self.memo_lo[mask] = q + 1
         return False
@@ -243,45 +245,34 @@ class _Solver:
             parts[c] |= 1 << i
         return parts
 
-    def part_edges(self, pm: int) -> tuple[tuple[int, int], ...]:
-        out = []
-        while pm:
-            b = pm & -pm
-            u, v = self.edges[b.bit_length() - 1]
-            out.append((u + 1, v + 1))
-            pm ^= b
-        return tuple(sorted(out))
-
     def certify(self, part_masks: list[int]) -> PmdDecomposition:
-        """Build and verify stage certificates; raises if any stage fails.
+        """Build the decomposition of ``part_masks`` with stage certificates.
 
-        The parts must be non-empty, pairwise disjoint matchings that cover
-        every edge; anything else is a solver bug and raises too."""
+        Each part gets ``walk_weights`` on its stage graph, or None when the
+        walk refuses it. The result must then pass ``_fault``, the check
+        behind ``verify_decomposition``; any fault is a solver bug and
+        raises."""
+        nbr = [0] * self.g.n
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
         parts, certs = [], []
-        remaining = (1 << self.m) - 1
         for stage, pm in enumerate(part_masks, 1):
-            if not pm or pm & ~remaining:
+            if pm >> self.m:   # edges past the graph would be dropped below
                 raise RuntimeError(f"stage {stage} is empty, repeats an edge "
                                    "or lies outside the graph")
-            if any((vm & pm) & ((vm & pm) - 1) for vm in self.vmask):
-                raise RuntimeError(f"stage {stage} is not a matching")
-            # every proposed part is positive (the screen admitted it, or it
-            # is a colour class of a forest), so a failure is a solver bug
-            host, nbr = self._stage(remaining)
-            pairs = [(u, v) for i, u, v, _ in host if pm >> i & 1]
-            part = tuple((u + 1, v + 1) for u, v in pairs)
+            pairs = [e for i, e in enumerate(self.edges) if pm >> i & 1]
             w = walk_weights(nbr, pairs)
-            if w is None:
-                raise RuntimeError(f"stage part {part} is not a positive matching")
-            cert = WeightCertificate(tuple(enumerate(w, 1)))
-            if not check_certificate([(u + 1, v + 1) for _, u, v, _ in host], part, cert):
-                raise RuntimeError(f"walk certificate for stage part {part} fails its check")
-            parts.append(part)
-            certs.append(cert)
-            remaining &= ~pm
-        if remaining:
-            raise RuntimeError(f"the parts leave {self.part_edges(remaining)} uncovered")
-        return PmdDecomposition(tuple(parts), tuple(certs))
+            parts.append(tuple((u + 1, v + 1) for u, v in pairs))
+            certs.append(None if w is None else WeightCertificate(tuple(enumerate(w, 1))))
+            for u, v in pairs:
+                nbr[u] &= ~(1 << v)
+                nbr[v] &= ~(1 << u)
+        dec = PmdDecomposition(tuple(parts), tuple(certs))
+        fault = _fault(self.g, dec)
+        if fault is not None:
+            raise RuntimeError(fault)
+        return dec
 
 
 def pmd(g: Graph, node_budget: int | None = None,
@@ -395,26 +386,31 @@ def pmd_bruteforce(g: Graph) -> int:
 
 
 def verify_decomposition(g: Graph, dec: PmdDecomposition) -> bool:
-    """Full exact recheck of the decomposition invariants."""
+    """The one exact re-check of a decomposition, which every solver
+    result passes before it is returned."""
+    return _fault(g, dec) is None
+
+
+def _fault(g: Graph, dec: PmdDecomposition) -> str | None:
+    """The first broken invariant of ``dec`` as a message, or None: the parts
+    must be non-empty, disjoint matchings of g that cover every edge, and
+    certificate l must pass ``check_certificate`` on the edges that parts
+    1..l-1 leave. Every check is an explicit return, so it runs under -O."""
     if len(dec.parts) != len(dec.certificates):
-        return False
-    all_edges = set(g.edge_labels())
-    seen: set[tuple[int, int]] = set()
-    for part in dec.parts:
+        return (f"the decomposition has {len(dec.parts)} parts but "
+                f"{len(dec.certificates)} certificates")
+    remaining = set(g.edge_labels())
+    for stage, (part, cert) in enumerate(zip(dec.parts, dec.certificates), 1):
         pset = set(part)
-        if not pset or pset & seen or not pset <= all_edges:
-            return False
-        used = set()
-        for i, j in pset:
-            if i in used or j in used:
-                return False
-            used.update((i, j))
-        seen |= pset
-    if seen != all_edges:
-        return False
-    remaining = set(all_edges)
-    for part, cert in zip(dec.parts, dec.certificates):
-        if not check_certificate(remaining, set(part), cert):
-            return False
-        remaining -= set(part)
-    return True
+        if not pset or len(pset) < len(part) or not pset <= remaining:
+            return f"stage {stage} is empty, repeats an edge or lies outside the graph"
+        if len({v for e in pset for v in e}) < 2 * len(pset):
+            return f"stage {stage} is not a matching"
+        if cert is None:
+            return f"stage part {part} is not a positive matching"
+        if not check_certificate(remaining, pset, cert):
+            return f"walk certificate for stage part {part} fails its check"
+        remaining -= pset
+    if remaining:
+        return f"the parts leave {tuple(sorted(remaining))} uncovered"
+    return None

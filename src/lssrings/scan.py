@@ -16,10 +16,11 @@ import io
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
                      is_bipartite, max_degree, parse_graph6)
+from .pmd import default_node_budget
 from .pmd import pmd as solve_pmd
 
 CSV_SCHEMA_VERSION = 1
@@ -44,26 +45,15 @@ class ScanRow:
     ok_conjecture: bool | None
     ms: float
 
-    def to_csv(self) -> list[str]:
-        def b(x):
-            return "" if x is None else ("1" if x else "0")
-
-        def v(x):
-            return "" if x is None else str(x)
-
-        return [self.id, v(self.n), v(self.m), b(self.bipartite), v(self.delta),
-                v(self.k), v(self.alpha), v(self.pmd), self.status, v(self.gap),
-                b(self.ok_upper), b(self.ok_bipartite), b(self.ok_conjecture),
-                v(int(self.ms))]
-
     def to_json(self) -> dict:
-        return {
-            "id": self.id, "n": self.n, "m": self.m, "bipartite": self.bipartite,
-            "delta": self.delta, "k": self.k, "alpha": self.alpha,
-            "pmd": self.pmd, "status": self.status, "gap": self.gap,
-            "ok_upper": self.ok_upper, "ok_bipartite": self.ok_bipartite,
-            "ok_conjecture": self.ok_conjecture, "ms": int(self.ms),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["ms"] = int(self.ms)
+        return out
+
+    def to_csv(self) -> list[str]:
+        """The CSV_HEADER columns: bools as 1/0, None as an empty cell."""
+        return ["" if x is None else str(int(x) if isinstance(x, bool) else x)
+                for x in self.to_json().values()]
 
 
 @dataclass(frozen=True)
@@ -120,8 +110,8 @@ def scan_graph(g: Graph, gid: str, node_budget=None, time_budget=None,
 
 
 def _error_row(gid: str, status: str) -> ScanRow:
-    return ScanRow(gid, None, None, None, None, None, None, None,
-                   status, None, None, None, None, 0.0)
+    blank = {f.name: None for f in fields(ScanRow)}
+    return ScanRow(**{**blank, "id": gid, "status": status, "ms": 0.0})
 
 
 def _scan_one(args) -> ScanRow:
@@ -149,7 +139,10 @@ def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
                 max_n: int | None = None,
                 stable_ms: bool = False) -> tuple[list[ScanRow], ScanSummary]:
     """Scan graph6 lines; returns (rows, summary). Parse failures and
-    solver exceptions become per-line error rows and the scan continues."""
+    solver exceptions become per-line error rows and the scan continues.
+    An invalid LSS_BUDGET_NODES raises ValueError before any graph runs."""
+    if node_budget is None:
+        node_budget = default_node_budget()
     work = []
     for line in lines:
         if max_n is not None:
@@ -162,7 +155,7 @@ def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
     if jobs > 1 and len(work) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, len(work))) as pool:
             rows = pool.map(_scan_one, work)
     else:
         rows = [_scan_one(w) for w in work]

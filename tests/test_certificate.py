@@ -4,6 +4,7 @@ checks that back every reported decomposition (they must hold under -O)."""
 import importlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import lssrings
 from lssrings import groebner, kernel, posmatch
 from lssrings.graphs import complete
-from lssrings.pmd import greedy_upper_bound, pmd
+from lssrings.pmd import (PmdDecomposition, greedy_upper_bound, pmd,
+                          verify_decomposition)
 from lssrings.posmatch import (MatchingArgumentError, WeightCertificate,
                                check_certificate, is_positive_matching,
                                walk_certificate)
@@ -133,7 +135,7 @@ def test_stage_failures_raise(monkeypatch):
 
 
 def test_certify_rejects_bad_part_lists():
-    """certify checks the partition itself with explicit raises."""
+    """certify rejects a bad partition with explicit raises."""
     s = pmd_module._Solver(complete(4), 10 ** 6, 60.0)
     good = s.greedy_parts()
     assert len(s.certify(good)) == len(good) == 5
@@ -147,6 +149,20 @@ def test_certify_rejects_bad_part_lists():
     for message, parts in bad.items():
         with pytest.raises(RuntimeError, match=message):
             s.certify(parts)
+
+    # verify_decomposition is the same check: given the good list's
+    # certificates, each bad list fails it for the same reason.
+    g = complete(4)
+    dec = s.certify(good)
+    edges = [(u + 1, v + 1) for u, v in s.edges] + [(4, 5)]   # bit m lies outside K4
+    for message, parts in bad.items():
+        bad_dec = PmdDecomposition(
+            tuple(tuple(e for i, e in enumerate(edges) if pm >> i & 1) for pm in parts),
+            tuple(itertools.islice(itertools.cycle(dec.certificates), len(parts))))
+        assert not verify_decomposition(g, bad_dec)
+        assert re.search(message, pmd_module._fault(g, bad_dec))
+    assert verify_decomposition(g, dec)
+    assert not verify_decomposition(g, PmdDecomposition(dec.parts, dec.certificates[:-1]))
 
 
 def test_lp_certificate_recheck_raises(monkeypatch):

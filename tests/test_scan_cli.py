@@ -4,9 +4,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from lssrings import scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
+from lssrings.pmd import default_node_budget
 from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
                            enumerate_trees, pruefer_decode, rows_to_csv,
                            scan_corpus, scan_graph)
@@ -98,6 +101,30 @@ def test_parallel_scan_matches_serial_as_multiset():
     assert sorted(map(key, serial)) == sorted(map(key, parallel))
 
 
+def test_scan_pool_never_outnumbers_the_corpus(monkeypatch):
+    """The pool is faked and maps serially, so no process is started."""
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    rows, _ = scan_corpus(["A_", "C~"], jobs=64, stable_ms=True)
+    assert sizes == [2] and len(rows) == 2
+
+
 def test_budget_exhausted_rows_not_counted_as_violations():
     from lssrings.graphs import complete
     k6 = encode_graph6(complete(6))
@@ -178,6 +205,29 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert cli_main(["invariants", "definitely-not-a-graph!!"]) == 1
     assert cli_main(["scan", str(tmp_path / "missing.g6")]) == 1
     assert cli_main(["verify", "path", "--n", "9"]) == 2   # desk-scale guard
+    with pytest.raises(SystemExit) as exc:                  # usage error
+        cli_main(["pmd"])
+    assert exc.value.code == 1
+
+
+def test_invalid_node_budget_stops_the_scan(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text("A_\nC~\n", encoding="utf-8")
+    for value in ("abc", "-5", "0"):
+        monkeypatch.setenv("LSS_BUDGET_NODES", value)
+        with pytest.raises(ValueError, match="LSS_BUDGET_NODES"):
+            default_node_budget()
+        assert cli_main(["scan", str(corpus), "--stable"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("error: LSS_BUDGET_NODES must be a positive "
+                                f"integer, got {value!r}\n")
+    monkeypatch.delenv("LSS_BUDGET_NODES")
+    for flag, value in (("--budget", "-5"), ("--budget", "abc"), ("--jobs", "0")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["scan", str(corpus), flag, value])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
 
 
 def test_cli_trees_roundtrip(capsys):
