@@ -333,3 +333,121 @@ def relabel(g: Graph, perm: dict[int, int]) -> Graph:
     """Apply a 1-based vertex permutation {old: new}."""
     pairs = [(perm[u + 1], perm[v + 1]) for u, v in g.edges]
     return Graph.from_edges(g.n, pairs)
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+
+def canonical_form(nbr) -> tuple[int, ...]:
+    """Isomorphism key of the graph whose 0-based neighbour bitmasks are
+    ``nbr``, ignoring isolated vertices: two graphs get equal keys exactly
+    when they are isomorphic once their isolated vertices are dropped.
+
+    The key is the sorted tuple of the codes of the connected components
+    (the edge-free graph has the empty key). Keyed one by one, k disjoint
+    edges need k leaves; keyed as one graph, they would need 2^(k-1) k!.
+
+    The code of a component is the least adjacency code over the leaves of
+    a search tree. The root is the colour refinement of its vertices; a
+    node branches by individualising each vertex of its first non-singleton
+    cell and refining again. Refinement orders the cells by a label-free
+    rule, so the set of leaf codes, and so its least element, is an
+    invariant. A partition whose cells are pairwise all-or-nothing
+    (vertex-by-vertex within a cell too) is a leaf: every vertex order that
+    keeps the cells in place gives the same code, so individualising
+    further would change nothing. This makes K_n and K_{a,b} with a != b
+    one leaf each.
+
+    The code of a vertex order v_1..v_k is the integer with a leading 1 bit
+    followed by row i of the reordered adjacency matrix for i = 1..k, so
+    its bit length fixes k.
+    """
+    left = 0
+    for v, m in enumerate(nbr):
+        if m:
+            left |= 1 << v
+    codes = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            b = frontier & -frontier
+            new = nbr[b.bit_length() - 1] & ~comp
+            comp |= new
+            frontier = (frontier ^ b) | new
+        left ^= comp
+        codes.append(_component_code(nbr, comp))
+    return tuple(sorted(codes))
+
+
+def _component_code(nbr, comp: int) -> int:
+    best = None
+    stack = [_refine(nbr, [comp])]
+    while stack:
+        cells = stack.pop()
+        split = _split_cell(nbr, cells)
+        if split is None:
+            code = _adjacency_code(nbr, cells)
+            if best is None or code < best:
+                best = code
+            continue
+        c = cells[split]
+        rest = c
+        while rest:
+            b = rest & -rest
+            stack.append(_refine(nbr, cells[:split] + [b, c ^ b] + cells[split + 1:]))
+            rest ^= b
+    return best
+
+
+def _refine(nbr, cells: list[int]) -> list[int]:
+    """Split cells, in place in the order, by each vertex's neighbour count
+    in every cell, until no cell splits (an equitable partition)."""
+    while True:
+        out = []
+        for c in cells:
+            if not c & (c - 1):
+                out.append(c)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            rest = c
+            while rest:
+                b = rest & -rest
+                sig = tuple((nbr[b.bit_length() - 1] & d).bit_count() for d in cells)
+                groups[sig] = groups.get(sig, 0) | b
+                rest ^= b
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def _split_cell(nbr, cells: list[int]) -> int | None:
+    """Index of the first non-singleton cell, or None when the (equitable)
+    partition is a leaf: each vertex of a cell c is joined to none or to
+    all of the other vertices of every cell d, d = c included."""
+    for c in cells:
+        v = (c & -c).bit_length() - 1
+        for d in cells:
+            k = (nbr[v] & d).bit_count()
+            if k and k != d.bit_count() - (c == d):
+                return next(i for i, e in enumerate(cells) if e & (e - 1))
+    return None
+
+
+def _adjacency_code(nbr, cells: list[int]) -> int:
+    order = []
+    for c in cells:
+        while c:
+            b = c & -c
+            order.append(b.bit_length() - 1)
+            c ^= b
+    pos = {v: i for i, v in enumerate(order)}
+    k = len(order)
+    code = 1
+    for v in order:
+        row = 0
+        for w in order:
+            if nbr[v] >> w & 1:
+                row |= 1 << pos[w]
+        code = code << k | row
+    return code

@@ -15,9 +15,14 @@ edge with a few mask operations, without building the digraph, and
 ``_extend`` updates the sets in one pass for the branches the search
 enters.
 
-Subproblems are memoized on the remaining edge set, and stages are
-pruned whenever the residual max degree exceeds the remaining part
-budget. ``_Solver.certify`` only builds the certificate of each
+Stages are pruned whenever the residual max degree exceeds the
+remaining part budget. A success is memoized on the remaining edge set
+(``memo_part``), so ``_reconstruct`` can replay its first part. A
+refutation is memoized on ``graphs.canonical_form`` of the residual
+graph (``memo_lo``): whether a graph splits into q positive matchings
+depends neither on its labels nor on its isolated vertices, so one
+refutation serves every labeling, and the lower bound is exhaustion up
+to isomorphism. ``_Solver.certify`` only builds the certificate of each
 reported stage, from the same screen: ``posmatch.walk_weights`` folds
 ``_extend`` over the part's edges and turns the final reach sets into
 integer weights. ``verify_decomposition`` is the one re-check: every
@@ -32,7 +37,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, is_forest, max_degree
+from .graphs import Graph, canonical_form, is_forest, max_degree
 from .posmatch import (WeightCertificate, _closes_cycle, _extend,
                        check_certificate, is_positive_matching, walk_weights)
 
@@ -88,6 +93,13 @@ def default_node_budget() -> int:
     return int(env)
 
 
+def check_node_budget(nb) -> int:
+    """``nb`` itself when it is an integer of at least 1, else ValueError."""
+    if not isinstance(nb, int) or nb < 1:
+        raise ValueError(f"node_budget must be a positive integer, got {nb!r}")
+    return nb
+
+
 # ---------------------------------------------------------------------------
 # the solver
 
@@ -103,7 +115,7 @@ class _Solver:
         for i, (u, v) in enumerate(self.edges):
             self.vmask[u] |= 1 << i
             self.vmask[v] |= 1 << i
-        self.memo_lo: dict[int, int] = {}
+        self.memo_lo: dict[tuple[int, ...], int] = {}     # canonical form -> lower bound
         self.memo_part: dict[int, tuple[int, int]] = {}   # mask -> (length, first part)
 
     # -- bookkeeping
@@ -135,9 +147,10 @@ class _Solver:
             hm ^= b
         return host, nbr
 
-    def _maximal_parts(self, host_mask: int) -> list[int]:
-        """Inclusion-maximal positive matchings of the stage graph, largest first."""
-        host, nbr = self._stage(host_mask)
+    def _maximal_parts(self, host: list[tuple[int, int, int, int]],
+                       nbr: list[int]) -> list[int]:
+        """Inclusion-maximal positive matchings of the stage ``(host, nbr)``
+        that ``_stage`` built, largest first."""
         out = []
 
         def rec(cur_mask: int, used: int, reach: list[int], start: int):
@@ -165,27 +178,34 @@ class _Solver:
     # -- decision procedure
 
     def decide(self, mask: int, q: int) -> bool:
-        """Can the stage graph on ``mask`` be split into <= q positive matchings?"""
+        """Can the stage graph on ``mask`` be split into <= q positive matchings?
+
+        The checks that need no stage come first: an empty stage, no part
+        left (q <= 0), the max-degree bound and a ``memo_part`` hit.
+        ``memo_part`` stays keyed on the mask: it is written only on
+        success, and its first part is an edge mask that ``_reconstruct``
+        replays on these labels. Only then is the stage built, once, for
+        both its canonical form and ``_maximal_parts``. ``memo_lo`` holds
+        refutations, which hold for every graph isomorphic to the stage, so
+        it is keyed on the canonical form and never on the mask."""
         if mask == 0:
             return True
-        if q <= 0:
-            return False
-        if self.memo_lo.get(mask, 1) > q:
+        if q <= 0 or self._maxdeg(mask) > q:
             return False
         known = self.memo_part.get(mask)
         if known is not None and known[0] <= q:
             return True
-        d = self._maxdeg(mask)
-        if d > q:
-            self.memo_lo[mask] = max(self.memo_lo.get(mask, 1), d)
+        host, nbr = self._stage(mask)
+        key = canonical_form(nbr)
+        if self.memo_lo.get(key, 1) > q:
             return False
         self._tick()
-        for pm in self._maximal_parts(mask):
+        for pm in self._maximal_parts(host, nbr):
             if self.decide(mask & ~pm, q - 1):
                 sub = self.memo_part.get(mask & ~pm)
                 self.memo_part[mask] = (1 + (sub[0] if sub else 0), pm)
                 return True
-        self.memo_lo[mask] = q + 1
+        self.memo_lo[key] = q + 1
         return False
 
     # -- construction helpers
@@ -279,9 +299,11 @@ def pmd(g: Graph, node_budget: int | None = None,
         time_budget: float | None = None) -> PmdResult:
     """Exact pmd with certificates, degrading to an upper bound on budget
     exhaustion. Single-task and deterministic; corpus-level parallelism
-    lives in the scan harness."""
+    lives in the scan harness. A node budget other than an integer of at
+    least 1 raises ValueError."""
     t0 = time.monotonic()
-    nb = node_budget if node_budget is not None else default_node_budget()
+    nb = check_node_budget(node_budget if node_budget is not None
+                           else default_node_budget())
     tb = time_budget if time_budget is not None else DEFAULT_TIME_BUDGET
     s = _Solver(g, nb, tb)
     if s.m == 0:

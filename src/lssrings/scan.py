@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
                      is_bipartite, max_degree, parse_graph6)
-from .pmd import default_node_budget
+from .pmd import check_node_budget, default_node_budget
 from .pmd import pmd as solve_pmd
 
 CSV_SCHEMA_VERSION = 1
@@ -140,9 +140,10 @@ def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
                 stable_ms: bool = False) -> tuple[list[ScanRow], ScanSummary]:
     """Scan graph6 lines; returns (rows, summary). Parse failures and
     solver exceptions become per-line error rows and the scan continues.
-    An invalid LSS_BUDGET_NODES raises ValueError before any graph runs."""
-    if node_budget is None:
-        node_budget = default_node_budget()
+    An invalid node budget, given or from LSS_BUDGET_NODES, raises
+    ValueError before any graph runs."""
+    node_budget = check_node_budget(default_node_budget() if node_budget is None
+                                    else node_budget)
     work = []
     for line in lines:
         if max_n is not None:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from lssrings.graphs import (complete, cycle, max_degree, parse_edge_list,
-                             path, star, is_bipartite)
+from lssrings.graphs import (complete, complete_bipartite, cycle, max_degree,
+                             parse_edge_list, path, star, is_bipartite)
 from lssrings.pmd import (PmdDecomposition, greedy_upper_bound, pmd,
                           pmd_bruteforce, verify_decomposition)
 from lssrings.posmatch import WeightCertificate
@@ -91,6 +91,27 @@ def test_budget_exhaustion_degrades_to_upper_bound():
     assert res.status == "upper_bound_only"
     assert res.value >= 7                  # never better than the optimum
     assert verify_decomposition(complete(5), res.decomposition)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_node_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        pmd(complete(5), node_budget=budget)
+
+
+def test_complete_and_complete_bipartite_values():
+    """K_n = 2n - 3 and K_{a,b} = a + b - 1 as expectations of the exact
+    search; the solver uses neither formula. K8 and K5,5 are exact within
+    the default node budget."""
+    for n in range(2, 9):
+        res = pmd(complete(n))
+        assert (res.value, res.status) == (2 * n - 3, "exact")
+        assert verify_decomposition(complete(n), res.decomposition)
+    for a, b in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (4, 4), (5, 5)]:
+        g = complete_bipartite(a, b)
+        res = pmd(g)
+        assert (res.value, res.status) == (a + b - 1, "exact")
+        assert verify_decomposition(g, res.decomposition)
 
 
 def test_oracle_equivalence_on_connected_small(connected_n6):

@@ -134,6 +134,15 @@ def test_budget_exhausted_rows_not_counted_as_violations():
     assert summary.violations == 0 and summary.budget_exhausted == 1
 
 
+def test_explicit_node_budget_below_one_is_rejected():
+    from lssrings.graphs import complete
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            scan_graph(complete(5), "K5", node_budget=budget)
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            scan_corpus([encode_graph6(complete(5))], node_budget=budget)
+
+
 def test_budget_env_override(monkeypatch):
     from lssrings.graphs import complete
     monkeypatch.setenv("LSS_BUDGET_NODES", "2")
@@ -165,6 +174,11 @@ def test_cli_pmd_certificate(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["value"] == 3 and data["status"] == "exact"
     assert len(data["certificates"]) == 3
+
+
+def test_cli_pmd_of_k8_is_exact(capsys):
+    assert cli_main(["pmd", "complete:8"]) == 0
+    assert "pmd = 13 (exact)" in capsys.readouterr().out
 
 
 def test_cli_family_spec_with_wrong_parameter_count(capsys):
