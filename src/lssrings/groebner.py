@@ -1,6 +1,14 @@
 """Desk-scale Buchberger engine with monomial-ideal dimension and
 multiplicity, ideal intersection by elimination, and membership tests.
 
+All division goes through one loop, `_reduce`, which takes each divisor
+with its leading monomial (computed once) and the support bitmask of
+that monomial, keeps the working terms in one dict and takes them
+largest first from a heap. Buchberger keeps its pending pairs in a heap
+on the lcm key. The selection strategy (normal: smallest lcm key first)
+and the coprime and chain criteria are the textbook ones; the heaps
+only avoid rescanning the pairs and the working polynomial at each step.
+
 Sizes are deliberately capped: past roughly forty variables or a few
 thousand basis elements the computation aborts with a desk-scale error
 instead of thrashing.
@@ -9,7 +17,9 @@ instead of thrashing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, ge, le, sub
 
 from .poly import (Polynomial, Ring, TermOrder, grevlex_key,
                    leading_monomial)
@@ -31,27 +41,65 @@ def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
 
     No term of the result is divisible by any basis leading monomial;
     when the basis is a Groebner basis this is the canonical normal form
-    and vanishes exactly on ideal members.
+    and vanishes exactly on ideal members. Each step divides the largest
+    remaining term by the first basis element whose leading monomial
+    divides it; the leading monomials are found once, then `_reduce`
+    does the division.
     """
-    divisors = [(g, leading_monomial(g, order)) for g in basis if not g.is_zero()]
-    rem_terms: dict = {}
-    work = f
-    while not work.is_zero():
-        m = leading_monomial(work, order)
-        c = work.terms[m]
-        hit = None
-        for g, glm in divisors:
-            diff = tuple(a - b for a, b in zip(m, glm))
-            if all(e >= 0 for e in diff):
-                hit = (g, glm, diff)
+    return _reduce(f, [_divisor(g, leading_monomial(g, order))
+                       for g in basis if not g.is_zero()], order)
+
+
+def _support(mono) -> int:
+    return sum(1 << i for i, e in enumerate(mono) if e)
+
+
+def _divisor(g: Polynomial, lm) -> tuple:
+    """g with its leading monomial and that monomial's support bitmask."""
+    return g, lm, _support(lm)
+
+
+def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
+    """The division loop: remainder of f by the `_divisor` triples, in order.
+
+    The working terms live in one dict, updated in place, and a heap on
+    `order.heap_key` yields them largest first; a monomial's key is
+    computed when it enters the heap. A term that cancels stays in the
+    heap and is skipped when popped. Subtracting a multiple of a divisor
+    only adds terms below the current one, so the popped terms strictly
+    decrease and the steps are those of textbook division.
+    """
+    work = dict(f.terms)
+    heap = [(order.heap_key(m), m) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
+        support = _support(m)
+        for g, glm, mask in divisors:
+            if not mask & ~support and all(map(ge, m, glm)):
                 break
-        if hit is None:
-            rem_terms[m] = c
-            work = Polynomial(work.ring, {mm: cc for mm, cc in work.terms.items() if mm != m})
         else:
-            g, glm, diff = hit
-            work = work - g.mul_monomial(diff, c / g.terms[glm])
-    return Polynomial(f.ring, rem_terms)
+            rem[m] = work.pop(m)
+            continue
+        # work -= q * x^diff * g; the term at m cancels exactly
+        diff = tuple(map(sub, m, glm))
+        q = c / g.terms[glm]
+        for gm, gc in g.terms.items():
+            nm = tuple(map(add, gm, diff))
+            t = q * gc
+            old = work.get(nm)
+            if old is None:
+                work[nm] = -t
+                heappush(heap, (order.heap_key(nm), nm))
+            elif old == t:
+                del work[nm]
+            else:
+                work[nm] = old - t
+    return Polynomial(f.ring, rem)
 
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -83,9 +131,13 @@ class IdealBasis:
 def buchberger(gens, order: TermOrder) -> IdealBasis:
     """Reduced Groebner basis by Buchberger's algorithm.
 
-    Normal selection strategy (smallest lcm first) with the coprime and
-    chain criteria for pair elimination; the result is monic, auto
-    reduced, and sorted by decreasing leading monomial.
+    Normal selection strategy (the pair with the smallest lcm key first)
+    with the coprime and chain criteria for pair elimination; the result
+    is monic, auto reduced, and sorted by decreasing leading monomial.
+    Pending pairs sit in a heap of (lcm key, pair) entries, which are
+    unique, so pairs are taken in exactly smallest-key order; a set of
+    the pending pairs answers the chain criterion. Every reduction goes
+    through `_reduce` with the leading monomials kept here.
     """
     ring = order.ring
     if ring.nvars > MAX_VARS:
@@ -98,55 +150,61 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
         return IdealBasis([], order, True)
 
     lms = [leading_monomial(g, order) for g in basis]
+    divisors = [_divisor(g, lm) for g, lm in zip(basis, lms)]
 
     def lcm(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+        return tuple(map(max, a, b))
 
     def entry(i, j):
         # selection key of the pair, computed once when the pair is made
         return order.key(lcm(lms[i], lms[j])), (i, j)
 
-    pairs = {(i, j): entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    queue = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapify(queue)
+    pending = {pair for _, pair in queue}
 
     def coprime(a, b):
         return all(x == 0 or y == 0 for x, y in zip(a, b))
 
     def divides(a, b):
-        return all(x <= y for x, y in zip(a, b))
+        return all(map(le, a, b))
 
-    while pairs:
-        _, (i, j) = min(pairs.values())
-        del pairs[i, j]
+    while queue:
+        _, (i, j) = heappop(queue)
+        pending.remove((i, j))
         lij = lcm(lms[i], lms[j])
         if coprime(lms[i], lms[j]):
             continue
         # chain criterion: some k with lm_k | lcm and both pairs already handled
-        if any(divides(lms[k], lij) and (min(i, k), max(i, k)) not in pairs
-               and (min(j, k), max(j, k)) not in pairs
+        support = _support(lij)
+        if any(not divisors[k][2] & ~support and divides(lms[k], lij)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis)) if k not in (i, j)):
             continue
-        h = normal_form(spoly(basis[i], basis[j], order), basis, order)
+        h = _reduce(spoly(basis[i], basis[j], order), divisors, order)
         if h.is_zero():
             continue
-        h = h.scale(QQ(1) / h.terms[leading_monomial(h, order)])
+        lm = leading_monomial(h, order)
+        h = h.scale(QQ(1) / h.terms[lm])
         basis.append(h)
-        lms.append(leading_monomial(h, order))
+        lms.append(lm)
+        divisors.append(_divisor(h, lm))
         if len(basis) > MAX_BASIS:
             raise DeskScaleExceeded(f"basis exceeded {MAX_BASIS} elements")
         new = len(basis) - 1
-        pairs.update(((k, new), entry(k, new)) for k in range(new))
+        for k in range(new):
+            heappush(queue, entry(k, new))
+            pending.add((k, new))
 
     # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, g in enumerate(basis):
-        if not any(k != i and divides(lms[k], lms[i])
-                   and (lms[k] != lms[i] or k < i) for k in range(len(basis))):
-            keep.append(g)
+    keep = [divisors[i] for i in range(len(basis))
+            if not any(k != i and divides(lms[k], lms[i])
+                       and (lms[k] != lms[i] or k < i) for k in range(len(basis)))]
     # tail-reduce each element against the others
     reduced = []
-    for i, g in enumerate(keep):
-        others = [h for j, h in enumerate(keep) if j != i]
-        r = normal_form(g, others, order) if others else g
+    for i, (g, _, _) in enumerate(keep):
+        r = _reduce(g, keep[:i] + keep[i + 1:], order)
         if not r.is_zero():
             reduced.append(r.scale(QQ(1) / r.terms[leading_monomial(r, order)]))
     reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)

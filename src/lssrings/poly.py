@@ -125,6 +125,10 @@ class TermOrder:
     def key(self, mono):
         return (self.weight(mono),) + grevlex_key(mono)
 
+    def heap_key(self, mono):
+        """key(mono) negated entry by entry: heapq's smallest is the largest term."""
+        return (-self.weight(mono), -sum(mono), mono[::-1])
+
 
 class Polynomial:
     """Immutable-by-convention map monomial -> nonzero rational coefficient."""

@@ -384,3 +384,117 @@ def test_basis_json_round_shape():
     doc = gb.to_json()
     assert doc["reduced"] is True
     assert doc["generators"][0][0]["coeff"] == "1"
+
+
+# ---------------------------------------------------------------------------
+# reference division: the textbook loop, kept as an oracle for normal_form
+
+def _reference_normal_form(f, basis, order):
+    """Divide the leading term of the whole working polynomial, one
+    Polynomial per step, by the first divisor whose lead divides it."""
+    from lssrings.poly import leading_monomial
+    divisors = [(g, leading_monomial(g, order)) for g in basis if not g.is_zero()]
+    rem = {}
+    work = f
+    while not work.is_zero():
+        m = leading_monomial(work, order)
+        c = work.terms[m]
+        for g, glm in divisors:
+            diff = tuple(a - b for a, b in zip(m, glm))
+            if all(e >= 0 for e in diff):
+                work = work - g.mul_monomial(diff, c / g.terms[glm])
+                break
+        else:
+            rem[m] = c
+            work = Polynomial(work.ring, {k: v for k, v in work.terms.items() if k != m})
+    return Polynomial(f.ring, rem)
+
+
+def _random_poly(rng, ring, terms, weights=(8, 3, 1)):
+    return Polynomial(ring, {
+        tuple(rng.choices([0, 1, 2], weights=weights, k=ring.nvars)):
+        QQ(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(terms)})
+
+
+def _three_orders(ring, g, d):
+    """grevlex, the weight_from_pmd order of g at d, and an elimination order."""
+    wv = weight_from_pmd(pmd(g).decomposition, d)
+    return (TermOrder.grevlex(ring), TermOrder.weighted(ring, wv),
+            TermOrder.elimination(ring, ring.tokens[-1]))
+
+
+def test_heap_key_reverses_the_term_order():
+    rng = random.Random(5)
+    ring = ring_for(EXAMPLE.n, 3)
+    for order in _three_orders(ring, EXAMPLE, 3):
+        monos = [tuple(rng.choices([0, 1, 2], k=ring.nvars)) for _ in range(40)]
+        assert (sorted(monos, key=order.heap_key)
+                == sorted(monos, key=order.key, reverse=True))
+
+
+def test_normal_form_matches_reference_division():
+    """Divisor lists that are not Groebner bases make divisor order
+    matter; the remainders must agree term for term under each order."""
+    rng = random.Random(2024)
+    ring = ring_for(EXAMPLE.n, 3)
+    divided = order_matters = 0
+    for order in _three_orders(ring, EXAMPLE, 3):
+        for _ in range(40):
+            divs = [_random_poly(rng, ring, rng.randint(1, 3), weights=(16, 3, 1))
+                    for _ in range(rng.randint(2, 4))]
+            f = _random_poly(rng, ring, rng.randint(0, 3))
+            for h in divs:
+                f = f + _random_poly(rng, ring, rng.randint(1, 2), weights=(12, 2, 0)) * h
+            mine = normal_form(f, divs, order)
+            ref = _reference_normal_form(f, divs, order)
+            assert mine == ref
+            assert list(mine.terms) == list(ref.terms)
+            divided += ref != f
+            order_matters += ref != _reference_normal_form(f, divs[::-1], order)
+    assert divided >= 100 and order_matters >= 15
+
+
+def test_reduced_basis_under_weighted_and_elimination_orders():
+    """Without sympy: the inputs reduce to 0, every S-polynomial reduces
+    to 0, generators are monic, and no term of a generator is divisible
+    by another generator's leading monomial."""
+    from lssrings.poly import leading_monomial
+    rng = random.Random(88)
+    g = path(3)
+    for d in (2, 3):
+        ring = ring_for(g.n, d)
+        for order in _three_orders(ring, g, d)[1:]:
+            for _ in range(6):
+                gens = [f for f in (_random_poly(rng, ring, rng.randint(1, 3), (6, 3, 1))
+                                    for _ in range(rng.randint(2, 4))) if not f.is_zero()]
+                basis = buchberger(gens, order).generators
+                lms = [leading_monomial(h, order) for h in basis]
+                for f in gens:
+                    assert _reference_normal_form(f, basis, order).is_zero()
+                for i, j in ((i, j) for i in range(len(basis)) for j in range(i)):
+                    s = spoly(basis[i], basis[j], order)
+                    assert _reference_normal_form(s, basis, order).is_zero()
+                for i, h in enumerate(basis):
+                    assert h.terms[lms[i]] == 1
+                    assert not any(k != i and all(a <= b for a, b in zip(lms[k], m))
+                                   for m in h.terms for k in range(len(basis)))
+
+
+@pytest.mark.parametrize("n, d, size, dim", [(4, 5, 37, 14), (5, 3, 135, 7)])
+def test_complete_graph_ring_pins(n, d, size, dim):
+    """K4 is a complete intersection at d = 5 (dim = nd - m); K5 is not
+    at d = 3 (dim 7, nd - m = 5)."""
+    ring = ring_for(n, d)
+    gb = buchberger([f for _, f in lss_generators(complete(n), d, ring)],
+                    TermOrder.grevlex(ring))
+    assert len(gb.generators) == size
+    assert monomial_dim(initial_ideal(gb), ring.nvars) == dim
+
+
+def test_basis_size_guard(monkeypatch):
+    import lssrings.groebner as groebner
+    monkeypatch.setattr(groebner, "MAX_BASIS", 10)
+    ring = ring_for(4, 3)
+    with pytest.raises(DeskScaleExceeded, match="basis exceeded 10"):
+        buchberger([f for _, f in lss_generators(complete(4), 3, ring)],
+                   TermOrder.grevlex(ring))
