@@ -100,10 +100,10 @@ def cmd_thresholds(args) -> int:
 def cmd_verify(args) -> int:
     ok = True
     if args.target == "star":
-        suite = verify_star_suite(args.n or 3)
+        suite = verify_star_suite(3 if args.n is None else args.n)
         ok = _print_suite(suite, args.json)
     elif args.target == "path":
-        suite = verify_path_suite(args.n or 4)
+        suite = verify_path_suite(4 if args.n is None else args.n)
         ok = _print_suite(suite, args.json)
     elif args.target == "D":
         from .graphs import path as path_graph, star as star_graph
@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("thresholds", help="property report at a given d")
     sp.add_argument("graph")
-    sp.add_argument("--d", type=int, required=True)
+    sp.add_argument("--d", type=positive_int, required=True)
     sp.add_argument("--budget", type=positive_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_thresholds)

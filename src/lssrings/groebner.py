@@ -103,7 +103,12 @@ def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
 
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    flm, glm = leading_monomial(f, order), leading_monomial(g, order)
+    """S-polynomial of f and g; finds the leading monomials for `_spoly`."""
+    return _spoly(f, leading_monomial(f, order), g, leading_monomial(g, order))
+
+
+def _spoly(f: Polynomial, flm, g: Polynomial, glm) -> Polynomial:
+    """S-polynomial of f and g with leading monomials flm and glm."""
     lcm = tuple(max(a, b) for a, b in zip(flm, glm))
     fm = tuple(a - b for a, b in zip(lcm, flm))
     gm = tuple(a - b for a, b in zip(lcm, glm))
@@ -182,7 +187,7 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(basis)) if k not in (i, j)):
             continue
-        h = _reduce(spoly(basis[i], basis[j], order), divisors, order)
+        h = _reduce(_spoly(basis[i], lms[i], basis[j], lms[j]), divisors, order)
         if h.is_zero():
             continue
         lm = leading_monomial(h, order)

@@ -5,9 +5,11 @@ vertex weighting gives every M-edge a strictly positive endpoint sum and
 every other host edge a strictly negative one. The strict system is
 homogeneous, so it is feasible exactly when the normalized system with
 bounds >= 1 and <= -1 is; that normalized system is decided by a
-phase-1 simplex over exact rationals with Bland's rule. A
-Fourier-Motzkin eliminator is kept alongside as an independent test
-oracle for small systems.
+phase-1 simplex with Bland's rule on a fraction-free integer tableau
+(Bareiss-style pivots; Fractions appear only in the returned point or
+Farkas witness, which are re-checked exactly). A Fourier-Motzkin
+eliminator is kept alongside as an independent test oracle for small
+systems.
 
 The solver does not use the LP. It decides the same question with the
 incremental alternating-walk screen at the end of this module
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import QQ, ZERO, scale_to_integers
+from .rationals import QQ, ZERO, common_denominator, scale_to_integers
 
 
 class MatchingArgumentError(ValueError):
@@ -71,7 +73,13 @@ def system(constraints) -> LinearSystem:
 
 
 # ---------------------------------------------------------------------------
-# phase-1 simplex, exact arithmetic, Bland's rule
+# phase-1 simplex, Bland's rule, on a fraction-free integer tableau
+#
+# Every row holds D times its rational row, D the last pivot (1 at the
+# start), so entries stay integers (Bareiss). A pivot on the entry piv
+# keeps the pivot row, maps every other row, the objective row included,
+# to (piv*a - f*b) // D with f the row's entry in the pivot column (the
+# division is exact), and sets D = piv. D > 0, so ratios cross-multiply.
 
 @dataclass(frozen=True)
 class LpResult:
@@ -89,7 +97,8 @@ def solve_system(sys: LinearSystem) -> LpResult:
     """Decide exact feasibility; infeasible systems carry a Farkas witness.
 
     The witness is a tuple of nonnegative rationals, one per constraint,
-    such that the >=-oriented rows combine to 0 . x >= positive.
+    such that the >=-oriented rows combine to 0 . x >= positive. Either
+    answer is re-checked against the constraints before it is returned.
     """
     variables = sys.variables()
     nv = len(variables)
@@ -98,95 +107,85 @@ def solve_system(sys: LinearSystem) -> LpResult:
     if m == 0:
         return LpResult({}, None)
 
-    # >=-oriented data
-    rows = []
-    for c in sys.constraints:
-        coeffs, bound = c.as_ge()
-        dense = [ZERO] * nv
-        for v, q in coeffs.items():
-            dense[vindex[repr(v)]] = q
-        rows.append((dense, bound))
-
-    # Tableau columns: u (nv) | v (nv) | s (m) | r (m) | rhs.
-    # Row i encodes sigma*(a.x) - sigma*s_i + r_i = sigma*b_i with rhs >= 0.
+    # Tableau columns: u (nv) | v (nv) | s (m) | r (m) | rhs. Row i encodes
+    # k*(a.x) - sign(k)*s_i + r_i = k*b for the >=-row a.x >= b: |k| clears
+    # its denominators and the sign of k makes the rhs >= 0. Row m is the
+    # phase-1 objective z, the sum of the rows with an artificial basic.
     ncols = 2 * nv + 2 * m
-    sigma = []
-    T = []
-    for i, (dense, bound) in enumerate(rows):
-        sg = 1 if bound >= 0 else -1
-        sigma.append(sg)
-        row = [ZERO] * (ncols + 1)
-        for j, q in enumerate(dense):
-            if q:
-                row[j] = sg * q
-                row[nv + j] = -sg * q
-        row[2 * nv + i] = QQ(-sg)
-        row[2 * nv + m + i] = QQ(1)
-        row[ncols] = sg * bound
-        T.append(row)
-
-    basis = [2 * nv + m + i for i in range(m)]
     art_lo = 2 * nv + m
+    factor, T = [], []
+    for i, c in enumerate(sys.constraints):
+        coeffs, bound = c.as_ge()
+        k = common_denominator([*coeffs.values(), bound]) * (1 if bound >= 0 else -1)
+        row = [0] * (ncols + 1)
+        for v, q in coeffs.items():
+            j = vindex[repr(v)]
+            row[j] = q.numerator * k // q.denominator
+            row[nv + j] = -row[j]
+        row[2 * nv + i] = -1 if k > 0 else 1
+        row[art_lo + i] = 1
+        row[ncols] = bound.numerator * k // bound.denominator
+        factor.append(k)
+        T.append(row)
+    z = [sum(col) for col in zip(*T)]
+    T.append(z)
 
-    def price():
-        """Sum of rows whose basic variable is artificial (= c - reduced cost)."""
-        p = [ZERO] * (ncols + 1)
-        for i in range(m):
-            if basis[i] >= art_lo:
-                row = T[i]
-                for j in range(ncols + 1):
-                    if row[j]:
-                        p[j] += row[j]
-        return p
-
-    max_iters = 10000 + 200 * (m + nv)
-    for _ in range(max_iters):
-        p = price()
-        enter = -1
-        for j in range(art_lo):          # artificials never re-enter
-            if p[j] > 0:
-                enter = j
-                break
+    basis = [art_lo + i for i in range(m)]
+    D = 1
+    for _ in range(10000 + 200 * (m + nv)):
+        enter = next((j for j in range(art_lo) if z[j] > 0), -1)  # artificials never re-enter
         if enter < 0:
             break
         # ratio test, Bland tie-break on the leaving basic variable
-        leave, best = -1, None
+        leave = -1
         for i in range(m):
-            tij = T[i][enter]
-            if tij > 0:
-                ratio = T[i][ncols] / tij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            t = T[i][enter]
+            if t > 0 and (leave < 0 or (T[i][ncols] * T[leave][enter], basis[i])
+                          < (T[leave][ncols] * t, basis[leave])):
+                leave = i
         if leave < 0:
             raise RuntimeError("phase-1 objective unbounded; input invariant broken")
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
         prow = T[leave]
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], prow)]
+        piv = prow[enter]
+        for i, row in enumerate(T):
+            if i != leave:
+                f = row[enter]
+                row[:] = [(piv * a - f * b) // D for a, b in zip(row, prow)]
+        D = piv
         basis[leave] = enter
     else:
         raise RuntimeError("phase-1 simplex failed to terminate")
 
-    value = sum(T[i][ncols] for i in range(m) if basis[i] >= art_lo)
-    if value == 0:
-        point = {repr(v): ZERO for v in variables}
-        for i in range(m):
-            b = basis[i]
+    if z[ncols] == 0:
+        point = [0] * nv
+        for i, b in enumerate(basis):
             if b < nv:
-                point[repr(variables[b])] += T[i][ncols]
+                point[b] += T[i][ncols]
             elif b < 2 * nv:
-                point[repr(variables[b - nv])] -= T[i][ncols]
-        return LpResult({v: point[repr(v)] for v in variables}, None)
+                point[b - nv] -= T[i][ncols]
+        res = LpResult({v: QQ(x, D) for v, x in zip(variables, point)}, None)
+    else:
+        # dual values live in z under the artificial columns
+        res = LpResult(None, tuple(QQ(z[art_lo + i] * k, D) for i, k in enumerate(factor)))
+    _check_lp_result(sys, res)
+    return res
 
-    # infeasible: dual values live in the price row under the artificial columns
-    p = price()
-    lam = tuple(sigma[i] * p[art_lo + i] for i in range(m))
-    if any(l < 0 for l in lam):
-        raise RuntimeError("Farkas multipliers have a negative entry")
-    return LpResult(None, lam)
+
+def _check_lp_result(sys: LinearSystem, res: LpResult) -> None:
+    """Raise unless the point satisfies every constraint exactly, or the
+    witness is >= 0 and combines the >=-rows to 0 . x >= positive."""
+    rows = [c.as_ge() for c in sys.constraints]
+    if res.point is not None:
+        x = {repr(v): q for v, q in res.point.items()}
+        if any(sum(q * x[repr(v)] for v, q in a.items()) < b for a, b in rows):
+            raise RuntimeError("LP point violates a constraint")
+        return
+    lam, combined = res.farkas, {}
+    for l, (a, _) in zip(lam, rows):
+        for v, q in a.items():
+            combined[repr(v)] = combined.get(repr(v), 0) + l * q
+    if min(lam) < 0 or any(combined.values()) or sum(l * b for l, (_, b) in zip(lam, rows)) <= 0:
+        raise RuntimeError("Farkas multipliers do not certify infeasibility")
 
 
 def lp_feasible(sys: LinearSystem) -> dict | None:

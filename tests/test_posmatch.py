@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from lssrings import posmatch
 from lssrings.graphs import parse_edge_list
-from lssrings.posmatch import (MatchingArgumentError, WeightCertificate,
-                               check_certificate, fourier_motzkin_feasible,
+from lssrings.posmatch import (LpResult, MatchingArgumentError,
+                               WeightCertificate, check_certificate,
+                               fourier_motzkin_feasible,
                                is_positive_matching, lp_feasible,
                                make_constraint, positive_matching_system,
                                solve_system, system)
@@ -195,3 +197,105 @@ def test_simplex_fuzz_against_fourier_motzkin():
                 assert val >= c.bound if c.relation == ">=" else val <= c.bound
         else:
             _check_farkas(sys_, res.farkas)
+
+
+def _reference_solve_system(sys):
+    """The textbook rational tableau: Fraction rows, the price row rebuilt
+    from the artificial-basic rows before every pivot. Kept as the
+    reference that the fraction-free tableau must reproduce exactly."""
+    variables = sys.variables()
+    nv = len(variables)
+    vindex = {repr(v): i for i, v in enumerate(variables)}
+    m = len(sys.constraints)
+    if m == 0:
+        return LpResult({}, None)
+    ncols = 2 * nv + 2 * m
+    sigma, T = [], []
+    for i, c in enumerate(sys.constraints):
+        coeffs, bound = c.as_ge()
+        sg = 1 if bound >= 0 else -1
+        sigma.append(sg)
+        row = [QQ(0)] * (ncols + 1)
+        for v, q in coeffs.items():
+            j = vindex[repr(v)]
+            row[j], row[nv + j] = sg * q, -sg * q
+        row[2 * nv + i] = QQ(-sg)
+        row[2 * nv + m + i] = QQ(1)
+        row[ncols] = sg * bound
+        T.append(row)
+    basis = [2 * nv + m + i for i in range(m)]
+    art_lo = 2 * nv + m
+
+    def price():
+        p = [QQ(0)] * (ncols + 1)
+        for i in range(m):
+            if basis[i] >= art_lo:
+                for j in range(ncols + 1):
+                    p[j] += T[i][j]
+        return p
+
+    while True:
+        p = price()
+        enter = next((j for j in range(art_lo) if p[j] > 0), -1)
+        if enter < 0:
+            break
+        leave, best = -1, None
+        for i in range(m):
+            if T[i][enter] > 0:
+                ratio = T[i][ncols] / T[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = T[leave][enter]
+        T[leave] = [x / piv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [a - f * b for a, b in zip(T[i], T[leave])]
+        basis[leave] = enter
+    if sum(T[i][ncols] for i in range(m) if basis[i] >= art_lo) == 0:
+        point = {repr(v): QQ(0) for v in variables}
+        for i, b in enumerate(basis):
+            if b < nv:
+                point[repr(variables[b])] += T[i][ncols]
+            elif b < 2 * nv:
+                point[repr(variables[b - nv])] -= T[i][ncols]
+        return LpResult({v: point[repr(v)] for v in variables}, None)
+    p = price()
+    return LpResult(None, tuple(sigma[i] * p[art_lo + i] for i in range(m)))
+
+
+def _assert_same_as_reference(sys):
+    res, ref = solve_system(sys), _reference_solve_system(sys)
+    assert repr(res) == repr(ref)       # same point or Farkas tuple, same types
+    return res.feasible
+
+
+def test_fraction_free_tableau_matches_rational_reference(all_n5):
+    """Positivity systems have integer data, so the fraction-free pivots
+    are the rational ones: same point, same Farkas witness, byte for byte."""
+    verdicts = set()
+    for g in all_n5:
+        host = list(g.edge_labels())
+        for m in _all_matchings(host):
+            verdicts.add(_assert_same_as_reference(positive_matching_system(host, m)))
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(6, 7)
+        host = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                if rng.random() < 0.5]
+        used, part = set(), []
+        for i, j in rng.sample(host, len(host)):
+            if not {i, j} & used and rng.random() < 0.6:
+                part.append((i, j))
+                used |= {i, j}
+        verdicts.add(_assert_same_as_reference(positive_matching_system(host, part)))
+    assert verdicts == {True, False}
+
+
+def test_solve_system_rejects_a_wrong_answer(monkeypatch):
+    """The self-check raises on a point or witness that does not hold."""
+    sys_ = system([make_constraint({"x": 1}, ">=", 1)])
+    with pytest.raises(RuntimeError, match="violates"):
+        posmatch._check_lp_result(sys_, LpResult({"x": QQ(1, 2)}, None))
+    with pytest.raises(RuntimeError, match="Farkas"):
+        posmatch._check_lp_result(sys_, LpResult(None, (QQ(1),)))

@@ -205,6 +205,21 @@ def test_cli_verify_star_path_d_example(capsys):
     assert cli_main(["verify", "path", "--n", "4"]) == 0
 
 
+def test_cli_verify_n_zero_trips_the_desk_scale_guard(capsys):
+    """--n 0 is an explicit size, not a missing one: no default suite runs."""
+    assert cli_main(["verify", "path", "--n", "0"]) == 2
+    assert cli_main(["verify", "star", "--n", "0"]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_cli_thresholds_rejects_a_nonpositive_d(capsys):
+    for d in ("-3", "0"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["thresholds", "example", "--d", d])
+        assert exc.value.code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_scan_stable_and_finding_free(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("# comment line\nA_\nC~\n", encoding="utf-8")
