@@ -14,7 +14,7 @@ class GraphFormatError(ValueError):
     """Malformed graph input; carries the byte/line position when known."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple graph on vertices 0..n-1 with a sorted tuple of edges (u < v)."""
 

@@ -25,10 +25,15 @@ refutation serves every labeling, and the lower bound is exhaustion up
 to isomorphism. ``_Solver.certify`` only builds the certificate of each
 reported stage, from the same screen: ``posmatch.walk_weights`` folds
 ``_extend`` over the part's edges and turns the final reach sets into
-integer weights. ``verify_decomposition`` is the one re-check: every
-result passes it (the partition, then ``check_certificate`` per stage)
-before it is returned. The exact LP is not on this path; it serves only
-as the independent oracle in pmd_bruteforce.
+integer weights. ``verify_decomposition`` is the one re-check, and every
+result passes it before it is returned. It re-derives edge masks from
+the reported 1-based parts and checks, stage by stage, that each part is
+a non-empty matching of the edges left, then every strict inequality of
+the definition on those edges; at the end no edge may be left. A forest
+skips the search: one traversal in ``forest_parts`` finds no cycle and
+colours the edges properly with max-degree many colours. The exact LP
+is not on this path; it serves only as the independent oracle in
+pmd_bruteforce.
 """
 
 from __future__ import annotations
@@ -37,9 +42,12 @@ import os
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, canonical_form, is_forest, max_degree
+from .graphs import Graph, canonical_form, max_degree
 from .posmatch import (WeightCertificate, _closes_cycle, _extend,
-                       check_certificate, is_positive_matching, walk_weights)
+                       is_positive_matching, walk_weights)
+# Not called here since _fault checks on masks; perfbench/tracing.py wraps
+# lssrings.pmd.check_certificate, so the name stays bound.
+from .posmatch import check_certificate  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 DEFAULT_TIME_BUDGET = 60.0
@@ -49,7 +57,7 @@ class BudgetExhausted(Exception):
     """Internal signal: search stopped by the node or time budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PmdDecomposition:
     """Ordered edge partition with one weight certificate per part.
 
@@ -70,7 +78,7 @@ class PmdDecomposition:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PmdResult:
     value: int
     decomposition: PmdDecomposition
@@ -230,39 +238,43 @@ class _Solver:
         return parts
 
     def forest_parts(self) -> list[int] | None:
-        """Proper edge coloring of a forest: exactly max-degree many stages."""
-        if not is_forest(self.g):
-            return None
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.g.n)}
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        color = [-1] * self.m
+        """Proper edge colouring with max-degree many colours, or None when
+        the graph has a cycle.
+
+        One traversal does both. Each vertex is reached once, through the
+        edge that colours it in; an uncoloured edge to a vertex already
+        reached closes a cycle. Each edge takes the lowest colour free at
+        both ends, and a newly reached end has none in use yet."""
+        edges, vmask = self.edges, self.vmask
         used_at = [0] * self.g.n
-        seen = [False] * self.g.n
+        seen = coloured = 0
+        parts: list[int] = []
         for root in range(self.g.n):
-            if seen[root]:
+            if seen >> root & 1:
                 continue
-            seen[root] = True
-            queue = [root]
-            while queue:
-                u = queue.pop()
-                for v, ei in adj[u]:
-                    if color[ei] == -1:
-                        c = 0
-                        both = used_at[u] | used_at[v]
-                        while both >> c & 1:
-                            c += 1
-                        color[ei] = c
-                        used_at[u] |= 1 << c
-                        used_at[v] |= 1 << c
-                    if not seen[v]:
-                        seen[v] = True
-                        queue.append(v)
-        k = max(color) + 1 if self.m else 0
-        parts = [0] * k
-        for i, c in enumerate(color):
-            parts[c] |= 1 << i
+            seen |= 1 << root
+            stack = [root]
+            while stack:
+                u = stack.pop()
+                todo = vmask[u] & ~coloured
+                coloured |= todo
+                while todo:
+                    e = todo & -todo
+                    todo ^= e
+                    x, y = edges[e.bit_length() - 1]
+                    v = x if y == u else y
+                    if seen >> v & 1:
+                        return None
+                    seen |= 1 << v
+                    both = used_at[u] | used_at[v]
+                    low = ~both & (both + 1)          # lowest free colour
+                    c = low.bit_length() - 1
+                    if c == len(parts):
+                        parts.append(0)
+                    parts[c] |= e
+                    used_at[u] |= low
+                    used_at[v] |= low
+                    stack.append(v)
         return parts
 
     def certify(self, part_masks: list[int]) -> PmdDecomposition:
@@ -272,8 +284,9 @@ class _Solver:
         walk refuses it. The result must then pass ``_fault``, the check
         behind ``verify_decomposition``; any fault is a solver bug and
         raises."""
+        edges, labels = self.edges, self.g.edge_labels()
         nbr = [0] * self.g.n
-        for u, v in self.edges:
+        for u, v in edges:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
         parts, certs = [], []
@@ -281,9 +294,16 @@ class _Solver:
             if pm >> self.m:   # edges past the graph would be dropped below
                 raise RuntimeError(f"stage {stage} is empty, repeats an edge "
                                    "or lies outside the graph")
-            pairs = [e for i, e in enumerate(self.edges) if pm >> i & 1]
+            pairs, part = [], []
+            rest = pm
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                pairs.append(edges[i])
+                part.append(labels[i])
+                rest ^= low
             w = walk_weights(nbr, pairs)
-            parts.append(tuple((u + 1, v + 1) for u, v in pairs))
+            parts.append(tuple(part))
             certs.append(None if w is None else WeightCertificate(tuple(enumerate(w, 1))))
             for u, v in pairs:
                 nbr[u] &= ~(1 << v)
@@ -416,23 +436,44 @@ def verify_decomposition(g: Graph, dec: PmdDecomposition) -> bool:
 def _fault(g: Graph, dec: PmdDecomposition) -> str | None:
     """The first broken invariant of ``dec`` as a message, or None: the parts
     must be non-empty, disjoint matchings of g that cover every edge, and
-    certificate l must pass ``check_certificate`` on the edges that parts
-    1..l-1 leave. Every check is an explicit return, so it runs under -O."""
+    certificate l must meet every strict inequality of the definition on
+    the edges that parts 1..l-1 leave: a sum > 0 on each part edge and < 0
+    on each other one. Edge sets are masks over g's edge order and each
+    part's vertices one vertex mask, so a stage costs one pass over its
+    part and one over the remaining edges. Every check is an explicit
+    return, so it runs under -O."""
     if len(dec.parts) != len(dec.certificates):
         return (f"the decomposition has {len(dec.parts)} parts but "
                 f"{len(dec.certificates)} certificates")
-    remaining = set(g.edge_labels())
+    labels = g.edge_labels()
+    index = {e: i for i, e in enumerate(labels)}
+    remaining = (1 << len(labels)) - 1
     for stage, (part, cert) in enumerate(zip(dec.parts, dec.certificates), 1):
-        pset = set(part)
-        if not pset or len(pset) < len(part) or not pset <= remaining:
+        left, verts = remaining, 0
+        for e in part:
+            i = index.get(e)
+            if i is None or not left >> i & 1:
+                return f"stage {stage} is empty, repeats an edge or lies outside the graph"
+            left ^= 1 << i
+            u, v = labels[i]
+            verts |= 1 << u | 1 << v
+        if left == remaining:
             return f"stage {stage} is empty, repeats an edge or lies outside the graph"
-        if len({v for e in pset for v in e}) < 2 * len(pset):
+        if verts.bit_count() < 2 * len(part):
             return f"stage {stage} is not a matching"
         if cert is None:
             return f"stage part {part} is not a positive matching"
-        if not check_certificate(remaining, pset, cert):
-            return f"walk certificate for stage part {part} fails its check"
-        remaining -= pset
+        w = dict(cert.weights)
+        rest = remaining
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u, v = labels[low.bit_length() - 1]
+            total = w.get(u, 0) + w.get(v, 0)
+            if (total >= 0) if left & low else (total <= 0):
+                return f"walk certificate for stage part {part} fails its check"
+        remaining = left
     if remaining:
-        return f"the parts leave {tuple(sorted(remaining))} uncovered"
+        uncovered = (e for i, e in enumerate(labels) if remaining >> i & 1)
+        return f"the parts leave {tuple(sorted(uncovered))} uncovered"
     return None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .groebner import DeskScaleExceeded
 from .rationals import QQ, ZERO, common_denominator, scale_to_integers
 
 
@@ -196,8 +197,18 @@ def lp_feasible(sys: LinearSystem) -> dict | None:
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination (independent oracle, small systems only)
 
+MAX_FM_ROWS = 10_000
+
+
 def fourier_motzkin_feasible(sys: LinearSystem) -> bool:
-    """Eliminate every variable; feasible iff no contradiction 0 >= positive."""
+    """Eliminate every variable; feasible iff no contradiction 0 >= positive.
+
+    No redundant row is dropped, so the row count can grow doubly
+    exponentially with the variables. Once the working rows pass
+    ``MAX_FM_ROWS`` the call raises ``DeskScaleExceeded``. The cap is far
+    above what the oracle tests need: their largest working set is 52
+    rows (positive-matching systems of graphs with n <= 6, and random
+    systems with at most 4 variables and 6 constraints)."""
     variables = [repr(v) for v in sys.variables()]
     rows = []
     for c in sys.constraints:
@@ -225,6 +236,8 @@ def fourier_motzkin_feasible(sys: LinearSystem) -> bool:
                     comb[k] = comb.get(k, ZERO) + a * q
                 comb = {k: q for k, q in comb.items() if q != 0}
                 new_rows.append((comb, b * pb + a * nb))
+                if len(new_rows) > MAX_FM_ROWS:
+                    raise DeskScaleExceeded(f"Fourier-Motzkin passed {MAX_FM_ROWS} rows")
         rows = new_rows
     return all(bound <= 0 for coeffs, bound in rows if not coeffs)
 
@@ -232,7 +245,7 @@ def fourier_motzkin_feasible(sys: LinearSystem) -> bool:
 # ---------------------------------------------------------------------------
 # positive matchings
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightCertificate:
     """Integer vertex weights (1-based keys) witnessing a positive matching."""
 
@@ -361,8 +374,9 @@ def _extend(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> list
     """reach after adding {a, b}, which must not close a cycle; one pass."""
     into_b = nbr[a] & used
     into_a = nbr[b] & used
-    ra = 1 << a | reach[a]
-    rb = 1 << b | reach[b]
+    bit_a, bit_b = 1 << a, 1 << b
+    ra = bit_a | reach[a]
+    rb = bit_b | reach[b]
     # at most one of a ~> b and b ~> a holds, or there would be a cycle
     if ra & into_b:
         ra |= rb
@@ -370,8 +384,8 @@ def _extend(nbr: list[int], used: int, reach: list[int], a: int, b: int) -> list
         rb |= ra
     # a walk into into_b continues through b, one into into_a through a;
     # an unmatched neighbour of a walks to mate(a) = b, one of b to a
-    reach = [r | (rb if r & into_b or nv >> a & 1 else 0)
-             | (ra if r & into_a or nv >> b & 1 else 0)
+    reach = [r | (rb if r & into_b or nv & bit_a else 0)
+             | (ra if r & into_a or nv & bit_b else 0)
              for r, nv in zip(reach, nbr)]
     reach[a], reach[b] = ra, rb
     return reach
@@ -408,11 +422,13 @@ def walk_weights(nbr: list[int], pairs: list[tuple[int, int]]) -> list[int] | No
         reach = _extend(nbr, used, reach, a, b)
         used |= ends
     w = [0] * len(nbr)
+    top = 0                                   # the largest |w| so far
     for a, b in pairs:
-        ra, rb = reach[a].bit_count(), reach[b].bit_count()
-        w[a] = 2 * (rb - ra) + 1
-        w[b] = 2 * (ra - rb) + 1
-    low = -(max(map(abs, w), default=0) + 1)
+        d = 2 * (reach[b].bit_count() - reach[a].bit_count())
+        w[a] = d + 1
+        w[b] = 1 - d
+        top = max(top, abs(d) + 1)
+    low = -(top + 1)
     return [x if used >> v & 1 else low for v, x in enumerate(w)]
 
 

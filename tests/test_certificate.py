@@ -4,6 +4,7 @@ checks that back every reported decomposition (they must hold under -O)."""
 import importlib
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import lssrings
 from lssrings import groebner, kernel, posmatch
-from lssrings.graphs import complete
+from lssrings.graphs import complete, complete_bipartite, cycle
 from lssrings.pmd import (PmdDecomposition, greedy_upper_bound, pmd,
                           verify_decomposition)
 from lssrings.posmatch import (MatchingArgumentError, WeightCertificate,
@@ -129,7 +130,7 @@ def test_stage_failures_raise(monkeypatch):
     with pytest.raises(RuntimeError, match="not a positive matching"):
         pmd(complete(4))
     monkeypatch.undo()
-    monkeypatch.setattr(pmd_module, "check_certificate", lambda host, part, cert: False)
+    monkeypatch.setattr(pmd_module, "walk_weights", lambda nbr, pairs: [-1] * len(nbr))
     with pytest.raises(RuntimeError, match="fails its check"):
         greedy_upper_bound(complete(4))
 
@@ -163,6 +164,83 @@ def test_certify_rejects_bad_part_lists():
         assert re.search(message, pmd_module._fault(g, bad_dec))
     assert verify_decomposition(g, dec)
     assert not verify_decomposition(g, PmdDecomposition(dec.parts, dec.certificates[:-1]))
+
+
+def _reference_fault(g, dec):
+    """``_fault`` from the definition, on tuple sets: the same checks in the
+    same order with the same messages, each strict inequality tested edge
+    by edge against the edges earlier parts leave."""
+    if len(dec.parts) != len(dec.certificates):
+        return (f"the decomposition has {len(dec.parts)} parts but "
+                f"{len(dec.certificates)} certificates")
+    remaining = set(g.edge_labels())
+    for stage, (part, cert) in enumerate(zip(dec.parts, dec.certificates), 1):
+        pset = set(part)
+        if not pset or len(pset) < len(part) or not pset <= remaining:
+            return f"stage {stage} is empty, repeats an edge or lies outside the graph"
+        if len({v for e in pset for v in e}) < 2 * len(pset):
+            return f"stage {stage} is not a matching"
+        if cert is None:
+            return f"stage part {part} is not a positive matching"
+        w = dict(cert.weights)
+        for i, j in remaining:
+            total = w.get(i, 0) + w.get(j, 0)
+            if (total <= 0) if (i, j) in pset else (total >= 0):
+                return f"walk certificate for stage part {part} fails its check"
+        remaining -= pset
+    if remaining:
+        return f"the parts leave {tuple(sorted(remaining))} uncovered"
+    return None
+
+
+def _mutate(parts, certs, rng):
+    """One seeded mutation of a decomposition, given as lists of part lists
+    and certificates; the lists are changed in place."""
+    kind = rng.choice(["flip", "move", "reverse", "drop_part", "drop_cert",
+                       "duplicate", "no_cert"])
+    l = rng.randrange(len(parts))
+    cert = certs[l] if l < len(certs) else None
+    if kind == "flip" and cert is not None:
+        w = list(cert.weights)
+        k = rng.randrange(len(w))
+        w[k] = (w[k][0], -w[k][1])
+        certs[l] = WeightCertificate(tuple(w))
+    elif kind == "move" and l + 1 < len(parts) and parts[l]:
+        parts[l + 1].append(parts[l].pop(rng.randrange(len(parts[l]))))
+    elif kind == "reverse" and parts[l]:
+        k = rng.randrange(len(parts[l]))
+        parts[l][k] = parts[l][k][::-1]
+    elif kind == "drop_part" and certs:
+        del parts[-1], certs[-1]
+    elif kind == "drop_cert" and certs:
+        del certs[-1]
+    elif kind == "duplicate" and parts[l]:
+        parts[rng.randrange(len(parts))].insert(0, rng.choice(parts[l]))
+    elif kind == "no_cert" and cert is not None:
+        certs[l] = None
+
+
+def test_mask_check_agrees_with_reference_on_mutants(connected_n6):
+    """Seeded mutations of solver decompositions: verify_decomposition and
+    every message of _fault match the tuple-set reference."""
+    rng = random.Random(2024)
+    graphs = ([complete(n) for n in range(2, 7)] + [cycle(n) for n in range(3, 8)]
+              + [complete_bipartite(2, 3)] + [g for g in connected_n6 if g.m])
+    seen = set()
+    for g in graphs:
+        dec = pmd(g).decomposition
+        assert pmd_module._fault(g, dec) is _reference_fault(g, dec) is None
+        for _ in range(8):
+            parts, certs = [list(p) for p in dec.parts], list(dec.certificates)
+            for _ in range(rng.choice([1, 1, 2])):
+                if parts:
+                    _mutate(parts, certs, rng)
+            mutant = PmdDecomposition(tuple(map(tuple, parts)), tuple(certs))
+            expected = _reference_fault(g, mutant)
+            assert pmd_module._fault(g, mutant) == expected, (g, mutant)
+            assert verify_decomposition(g, mutant) == (expected is None)
+            seen.add(expected and re.sub(r"\(.*\)|\d+", "", expected))
+    assert len(seen) == 7, seen        # every message, and some mutants pass
 
 
 def test_lp_certificate_recheck_raises(monkeypatch):

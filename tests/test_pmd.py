@@ -1,12 +1,15 @@
 """Solver, greedy bound, brute-force oracle, and decomposition checking."""
 
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
 
-from lssrings.graphs import (complete, complete_bipartite, cycle, max_degree,
-                             parse_edge_list, path, star, is_bipartite)
-from lssrings.pmd import (PmdDecomposition, greedy_upper_bound, pmd,
+from lssrings.graphs import (Graph, complete, complete_bipartite, cycle, is_forest,
+                             max_degree, parse_edge_list, path, star, is_bipartite)
+from lssrings.pmd import (PmdDecomposition, _Solver, greedy_upper_bound, pmd,
                           pmd_bruteforce, verify_decomposition)
 from lssrings.posmatch import WeightCertificate
 
@@ -157,3 +160,52 @@ def test_result_json_shape():
     assert data["value"] == 3 and data["status"] == "exact"
     assert data["certificates"][0]["part"] == 1
     assert all(isinstance(v, str) for v in data["certificates"][0]["weights"].values())
+
+
+def _labeled_trees(n):
+    """Every labeled tree on 1..n, decoded from its Pruefer sequence."""
+    for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+        degree = [1] * (n + 1)
+        for x in seq:
+            degree[x] += 1
+        edges = []
+        for x in seq:
+            leaf = min(v for v in range(1, n + 1) if degree[v] == 1)
+            edges.append((leaf, x))
+            degree[leaf] -= 1
+            degree[x] -= 1
+        edges.append(tuple(v for v in range(1, n + 1) if degree[v] == 1))
+        yield Graph.from_edges(n, edges)
+
+
+def test_forest_parts_detects_cycles_and_colours_trees(connected_n6):
+    """forest_parts is None exactly on graphs with a cycle, and on every
+    labeled tree with n <= 6 it is a proper edge colouring with max-degree
+    many colours that covers every edge once."""
+    forests = [Graph(5, ()), Graph.from_edges(7, [(1, 2), (2, 3), (5, 6)]),
+               Graph.from_edges(8, [(2, 4), (4, 6), (4, 7), (1, 8)])]
+    cyclic = [Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (5, 6)]),     # cycle first,
+              Graph.from_edges(7, [(1, 2), (4, 5), (5, 6), (4, 6)])]     # or later
+    for g in [*connected_n6, *map(cycle, range(3, 8)), *forests, *cyclic]:
+        parts = _Solver(g, 10 ** 6, 60.0).forest_parts()
+        assert (parts is None) == (not is_forest(g)), g
+    trees = [t for n in range(2, 7) for t in _labeled_trees(n)]
+    assert len(trees) == sum(n ** (n - 2) for n in range(2, 7))
+    for g in trees + forests:
+        parts = _Solver(g, 10 ** 6, 60.0).forest_parts()
+        assert len(parts) == max_degree(g) and all(parts)
+        assert sum(parts) == (1 << g.m) - 1          # disjoint and covering
+        for pm in parts:
+            ends = [v for i, e in enumerate(g.edges) if pm >> i & 1 for v in e]
+            assert len(ends) == len(set(ends))
+
+
+def test_slotted_results_pickle_and_copy():
+    g = EXAMPLE
+    res = pmd(g)
+    cert = res.decomposition.certificates[0]
+    for obj in (g, res, res.decomposition, cert):
+        assert not hasattr(obj, "__dict__")
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert clone == obj and type(clone) is type(obj)
+    assert verify_decomposition(g, pickle.loads(pickle.dumps(res)).decomposition)

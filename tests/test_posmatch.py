@@ -6,6 +6,7 @@ import pytest
 
 from lssrings import posmatch
 from lssrings.graphs import parse_edge_list
+from lssrings.groebner import DeskScaleExceeded
 from lssrings.posmatch import (LpResult, MatchingArgumentError,
                                WeightCertificate, check_certificate,
                                fourier_motzkin_feasible,
@@ -173,6 +174,23 @@ def test_farkas_witness_on_every_infeasible_system(connected_n6):
             res = solve_system(sys)
             if res.point is None:
                 _check_farkas(sys, res.farkas)
+
+
+def test_fourier_motzkin_stops_at_its_row_cap():
+    """A seeded system with 5 variables and 8 constraints grows to about
+    880,000 rows without the cap (20 s); with it, the call stops at
+    MAX_FM_ROWS. The simplex decides the same system at once."""
+    rng = random.Random(4)
+    cons = []
+    for _ in range(8):
+        coeffs = {f"x{i}": QQ(rng.randint(-3, 3)) for i in range(5)}
+        coeffs = {k: v for k, v in coeffs.items() if v != 0} or {"x0": QQ(1)}
+        cons.append(make_constraint(coeffs, rng.choice([">=", "<="]),
+                                    QQ(rng.randint(-4, 4), rng.randint(1, 3))))
+    sys_ = system(cons)
+    with pytest.raises(DeskScaleExceeded, match="Fourier-Motzkin"):
+        fourier_motzkin_feasible(sys_)
+    assert solve_system(sys_).point is None
 
 
 def test_simplex_fuzz_against_fourier_motzkin():
