@@ -91,9 +91,11 @@ def cmd_thresholds(args) -> int:
     for prop, verdict in report.verdicts.items():
         mark = "guaranteed" if verdict.guaranteed else "unknown"
         print(f"{prop:22s} {mark}")
-        for rf in table[prop]:
-            state = "fires" if args.d >= rf.threshold else "needs"
-            print(f"    [{rf.rule}] d >= {rf.threshold} ({state}) :: {rf.statement}")
+        needs = [rf for rf in table[prop] if rf.threshold > args.d]
+        for rf in (*verdict.rules, *needs):
+            when = "any d" if rf.threshold is None else f"d >= {rf.threshold}"
+            state = "needs" if rf in needs else "fires"
+            print(f"    [{rf.rule}] {when} ({state}) :: {rf.statement}")
     return 0
 
 

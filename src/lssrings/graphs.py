@@ -163,10 +163,7 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise GraphFormatError(f"line {k}: non-integer endpoint in {ln!r}")
         pairs.append((i, j))
-    try:
-        return Graph.from_edges(n, pairs)
-    except GraphFormatError as exc:
-        raise GraphFormatError(str(exc))
+    return Graph.from_edges(n, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,18 @@ def is_forest(g: Graph) -> bool:
 
 
 def is_cycle_graph(g: Graph) -> bool:
-    return g.n >= 3 and g.m == g.n and all(d == 2 for d in g.degrees()) and not is_forest(g)
+    """One cycle through every vertex: 2-regular on n >= 3 vertices and
+    connected (disjoint cycles are 2-regular too)."""
+    if g.n < 3 or any(d != 2 for d in g.degrees()):
+        return False
+    adj = g.adjacency()
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
 
 
 # ---------------------------------------------------------------------------

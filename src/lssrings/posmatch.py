@@ -7,24 +7,21 @@ homogeneous, so it is feasible exactly when the normalized system with
 bounds >= 1 and <= -1 is; that normalized system is decided by a
 phase-1 simplex with Bland's rule on a fraction-free integer tableau
 (Bareiss-style pivots; Fractions appear only in the returned point or
-Farkas witness, which are re-checked exactly). A Fourier-Motzkin
-eliminator is kept alongside as an independent test oracle for small
-systems.
+Farkas witness, which are re-checked exactly). The tests cross-check it
+against a Fourier-Motzkin eliminator of their own.
 
 The solver does not use the LP. It decides the same question with the
 incremental alternating-walk screen at the end of this module
 (``_closes_cycle`` and ``_extend``), which carries the reach set of
 every vertex; ``walk_weights`` turns the final reach sets into integer
-weights, and ``walk_certificate`` is the same on edge tuples. The LP and
-Fourier-Motzkin stay as independent oracles for tests and for
-pmd_bruteforce.
+weights, and ``walk_certificate`` is the same on edge tuples. The LP
+stays as an independent oracle for tests and for pmd_bruteforce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import DeskScaleExceeded
 from .rationals import QQ, ZERO, common_denominator, scale_to_integers
 
 
@@ -192,54 +189,6 @@ def _check_lp_result(sys: LinearSystem, res: LpResult) -> None:
 def lp_feasible(sys: LinearSystem) -> dict | None:
     """Exact feasible point for the system, or None."""
     return solve_system(sys).point
-
-
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination (independent oracle, small systems only)
-
-MAX_FM_ROWS = 10_000
-
-
-def fourier_motzkin_feasible(sys: LinearSystem) -> bool:
-    """Eliminate every variable; feasible iff no contradiction 0 >= positive.
-
-    No redundant row is dropped, so the row count can grow doubly
-    exponentially with the variables. Once the working rows pass
-    ``MAX_FM_ROWS`` the call raises ``DeskScaleExceeded``. The cap is far
-    above what the oracle tests need: their largest working set is 52
-    rows (positive-matching systems of graphs with n <= 6, and random
-    systems with at most 4 variables and 6 constraints)."""
-    variables = [repr(v) for v in sys.variables()]
-    rows = []
-    for c in sys.constraints:
-        coeffs, bound = c.as_ge()
-        rows.append(({repr(v): q for v, q in coeffs.items() if q != 0}, bound))
-    for var in variables:
-        pos, neg, rest = [], [], []
-        for coeffs, bound in rows:
-            q = coeffs.get(var, ZERO)
-            if q > 0:
-                pos.append((coeffs, bound))
-            elif q < 0:
-                neg.append((coeffs, bound))
-            else:
-                rest.append((coeffs, bound))
-        new_rows = rest
-        for pc, pb in pos:
-            a = pc[var]
-            for nc, nb in neg:
-                b = -nc[var]
-                comb = {}
-                for k, q in pc.items():
-                    comb[k] = comb.get(k, ZERO) + b * q
-                for k, q in nc.items():
-                    comb[k] = comb.get(k, ZERO) + a * q
-                comb = {k: q for k, q in comb.items() if q != 0}
-                new_rows.append((comb, b * pb + a * nb))
-                if len(new_rows) > MAX_FM_ROWS:
-                    raise DeskScaleExceeded(f"Fourier-Motzkin passed {MAX_FM_ROWS} rows")
-        rows = new_rows
-    return all(bound <= 0 for coeffs, bound in rows if not coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Threshold rule engine, the family knowledge base, and the desk-scale
 verification suites for the quotient-ring identities.
 
-Every verdict is tied to the rule whose numeric hypothesis fired; rules
-derived from the pmd bound and rules derived from the degree/degeneracy
-bound are kept separate, and conjecture-status facts never justify a
-guarantee.
+Every guarantee comes from one rule table, ``_RULES``, and cites the
+rows whose threshold is at most d; rules derived from the pmd bound and
+rules derived from the degree/degeneracy bound are kept separate, and
+conjecture-status facts never justify a guarantee.
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ class RuleFiring:
 
 @dataclass(frozen=True)
 class Verdict:
-    guaranteed: bool
     rules: tuple[RuleFiring, ...] = ()
+
+    @property
+    def guaranteed(self) -> bool:
+        return bool(self.rules)
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,6 @@ class PropertyReport:
     m: int
     d: int
     invariants: GraphInvariants
-    forest: bool
     verdicts: dict = field(default_factory=dict)
 
     def guaranteed(self, prop: str) -> bool:
@@ -90,76 +92,72 @@ class PropertyReport:
         }
 
 
-# Rule table. Each entry: (rule id, requires exact pmd, forest only,
-# threshold as a function of the invariants, granted properties,
-# statement, source attribution for results that predate this toolkit).
+_C6_THEOREM = ("the 6-cycle: not prime and not a complete intersection at "
+               "d = 2, prime complete intersection from d = 3 on")
+
+# Rule table, the only source of guarantees. Each entry: (rule id, least
+# firing d as a function of the graph and its invariants, or None when the
+# rule does not apply; granted properties; statement; source attribution
+# for results that predate this toolkit). A rule that grants prime also
+# grants irreducible: a prime ideal has an irreducible variety.
 _RULES = (
-    ("pmd-radical-ci", True, False, lambda i: i.pmd_value,
+    ("pmd-radical-ci", lambda g, i: i.pmd_value if i.pmd_exact else None,
      ("radical", "complete_intersection"),
      "d >= pmd: the edge-quadric ideal is a radical complete intersection",
      "Conca-Welker 2019"),
-    ("pmd-prime", True, False, lambda i: i.pmd_value + 1,
-     ("prime",),
+    ("pmd-prime", lambda g, i: i.pmd_value + 1 if i.pmd_exact else None,
+     ("prime", "irreducible"),
      "d >= pmd + 1: the edge-quadric ideal is prime",
      "Conca-Welker 2019"),
-    ("degree-degeneracy-ci", False, False, lambda i: i.alpha,
+    ("degree-degeneracy-ci", lambda g, i: i.alpha,
      ("complete_intersection",),
      "d >= degree + degeneracy - 1: complete intersection",
      "Kapon 2019"),
-    ("degree-degeneracy-irreducible", False, False, lambda i: i.alpha + 1,
+    ("degree-degeneracy-irreducible", lambda g, i: i.alpha + 1,
      ("irreducible",),
      "d >= degree + degeneracy: the variety is irreducible",
      "Kapon 2019"),
-    ("pmd-degeneracy-f-regular", True, False, lambda i: i.pmd_value + i.k,
+    ("pmd-degeneracy-f-regular",
+     lambda g, i: i.pmd_value + i.k if i.pmd_exact else None,
      ("strongly_f_regular", "normal"),
      "d >= pmd + degeneracy: strongly F-regular in positive characteristic, "
      "rational singularities (hence normal) in characteristic zero",
      ""),
-    ("pmd-degeneracy-ufd", True, False, lambda i: i.pmd_value + i.k + 1,
+    ("pmd-degeneracy-ufd",
+     lambda g, i: i.pmd_value + i.k + 1 if i.pmd_exact else None,
      ("ufd",),
      "d >= pmd + degeneracy + 1: unique factorization domain",
      ""),
-    ("forest-normal", False, True, lambda i: i.delta + 1,
+    ("forest-normal", lambda g, i: i.delta + 1 if is_forest(g) else None,
      ("normal",),
      "forests with d >= degree + 1 have a normal quotient ring",
      ""),
+    ("six-cycle", lambda g, i: 3 if g.n == 6 and is_cycle_graph(g) else None,
+     ("prime", "irreducible", "complete_intersection", "radical"),
+     _C6_THEOREM, "Conca-Welker 2019"),
 )
 
 
 def properties_at(g: Graph, d: int, inv: GraphInvariants) -> PropertyReport:
-    """Fire every rule whose hypothesis holds numerically at (G, d)."""
-    forest = is_forest(g)
+    """Fire every rule whose threshold is at most d."""
     if g.m == 0:
         rf = RuleFiring("polynomial-ring", None,
                         "no edges: the quotient is the polynomial ring itself")
-        return PropertyReport(g.n, 0, d, inv, forest,
-                              {p: Verdict(True, (rf,)) for p in PROPERTIES})
-    fired = {p: [rf for rf in rs if rf.threshold <= d]
-             for p, rs in threshold_table(g, inv).items()}
-    for fact in knowledge_base():
-        if fact.status != "theorem" or fact.grants is None:
-            continue
-        matched = fact.grants(g, d)
-        if matched:
-            for prop in matched:
-                fired[prop].append(RuleFiring("knowledge-base", None,
-                                              fact.statement, fact.source))
-    verdicts = {p: Verdict(bool(rs), tuple(rs)) for p, rs in fired.items()}
-    return PropertyReport(g.n, g.m, d, inv, forest, verdicts)
+        return PropertyReport(g.n, 0, d, inv,
+                              {p: Verdict((rf,)) for p in PROPERTIES})
+    verdicts = {p: Verdict(tuple(rf for rf in rs if rf.threshold <= d))
+                for p, rs in threshold_table(g, inv).items()}
+    return PropertyReport(g.n, g.m, d, inv, verdicts)
 
 
 def threshold_table(g: Graph, inv: GraphInvariants) -> dict:
-    """Per property, every rule with its minimal firing d (None = not applicable)."""
-    forest = is_forest(g)
+    """Per property, every applicable rule with its minimal firing d."""
     table: dict[str, list[RuleFiring]] = {p: [] for p in PROPERTIES}
-    for rule, needs_pmd, forest_only, thresh, grants, stmt, src in _RULES:
-        if needs_pmd and not inv.pmd_exact:
-            continue
-        if forest_only and not forest:
-            continue
-        t = thresh(inv)
-        for prop in grants:
-            table[prop].append(RuleFiring(rule, t, stmt, src))
+    for rule, thresh, grants, stmt, src in _RULES:
+        t = thresh(g, inv)
+        if t is not None:
+            for prop in grants:
+                table[prop].append(RuleFiring(rule, t, stmt, src))
     return table
 
 
@@ -173,22 +171,13 @@ class FamilyFact:
     statement: str
     status: str                 # "theorem" | "conjecture"
     source: str = ""
-    grants: object = None       # optional (graph, d) -> tuple of properties
 
 
 def knowledge_base() -> tuple[FamilyFact, ...]:
-    """Citable family facts; conjectures are flagged and never grant verdicts."""
-
-    def c6_grants(g: Graph, d: int):
-        if is_cycle_graph(g) and g.n == 6 and d >= 3:
-            return ("prime", "complete_intersection", "radical")
-        return ()
-
+    """Citable family facts; conjectures are flagged. Guarantees come only
+    from the rule table, where the 6-cycle theorem is the six-cycle row."""
     return (
-        FamilyFact("cycle", (6,),
-                   "the 6-cycle: not prime and not a complete intersection at "
-                   "d = 2, prime complete intersection from d = 3 on",
-                   "theorem", "Conca-Welker 2019", c6_grants),
+        FamilyFact("cycle", (6,), _C6_THEOREM, "theorem", "Conca-Welker 2019"),
         FamilyFact("forest", (),
                    "forests are normal at every d >= degree + 1",
                    "theorem"),

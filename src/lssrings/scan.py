@@ -24,8 +24,6 @@ from .pmd import check_node_budget, default_node_budget
 from .pmd import pmd as solve_pmd
 
 CSV_SCHEMA_VERSION = 1
-CSV_HEADER = ("id", "n", "m", "bipartite", "delta", "k", "alpha", "pmd",
-              "status", "gap", "ok_upper", "ok_bipartite", "ok_conjecture", "ms")
 
 
 @dataclass(frozen=True)
@@ -54,6 +52,9 @@ class ScanRow:
         """The CSV_HEADER columns: bools as 1/0, None as an empty cell."""
         return ["" if x is None else str(int(x) if isinstance(x, bool) else x)
                 for x in self.to_json().values()]
+
+
+CSV_HEADER = tuple(f.name for f in fields(ScanRow))
 
 
 @dataclass(frozen=True)

@@ -212,8 +212,10 @@ def test_criterion_11_rule_engine(all_n5):
                 assert rep.guaranteed("strongly_f_regular")
             if rep.guaranteed("strongly_f_regular"):
                 assert rep.guaranteed("prime")
+                assert rep.guaranteed("normal")
             if rep.guaranteed("prime"):
                 assert rep.guaranteed("radical")
                 assert rep.guaranteed("complete_intersection")
+                assert rep.guaranteed("irreducible")
     print("PASS criterion 11: star thresholds (normal 4, F-regular 4, UFD 5) "
           "and the implication chain over the n <= 5 corpus")

@@ -6,9 +6,9 @@ import pytest
 
 from lssrings.graphs import (Graph, GraphFormatError, alpha, complete, cycle,
                              degeneracy, delete_vertex, encode_graph6, family,
-                             gapped, induced_subgraph, is_bipartite, is_forest,
-                             max_degree, parse_edge_list, parse_graph6, path,
-                             relabel, star)
+                             gapped, induced_subgraph, is_bipartite,
+                             is_cycle_graph, is_forest, max_degree,
+                             parse_edge_list, parse_graph6, path, relabel, star)
 from conftest import reference_encode_graph6
 
 EXAMPLE = "4\n1 2\n2 3\n2 4\n3 4"
@@ -167,3 +167,11 @@ def test_forest_and_bipartite_predicates():
     assert is_forest(path(5)) and is_forest(star(3))
     assert not is_forest(cycle(3))
     assert is_bipartite(cycle(4)) and not is_bipartite(cycle(5))
+
+
+def test_cycle_graph_is_one_connected_cycle():
+    assert all(is_cycle_graph(cycle(n)) for n in range(3, 9))
+    two_k3 = parse_edge_list("6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6")
+    c3_c4 = parse_edge_list("7\n1 2\n2 3\n1 3\n4 5\n5 6\n6 7\n4 7")
+    assert not is_cycle_graph(two_k3) and not is_cycle_graph(c3_c4)
+    assert not is_cycle_graph(path(4)) and not is_cycle_graph(complete(4))

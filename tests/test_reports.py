@@ -10,6 +10,7 @@ from lssrings.reports import (GraphInvariants, class_group, invariants_of,
                               verify_star_suite, PROPERTIES)
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
+TWO_K3 = parse_edge_list("6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6")
 
 
 def _inv(g):
@@ -93,9 +94,11 @@ def test_implication_chain(all_n5):
                 assert rep.guaranteed("strongly_f_regular")
             if rep.guaranteed("strongly_f_regular"):
                 assert rep.guaranteed("prime")
+                assert rep.guaranteed("normal")
             if rep.guaranteed("prime"):
                 assert rep.guaranteed("radical")
                 assert rep.guaranteed("complete_intersection")
+                assert rep.guaranteed("irreducible")
 
 
 def test_class_group_facts():
@@ -116,8 +119,13 @@ def test_knowledge_base_statuses():
     assert any("6-cycle" in s for s in statuses)
     conj = [f for f in kb if f.status == "conjecture"]
     assert len(conj) == 2
-    # conjecture facts never grant verdicts
-    assert all(f.grants is None for f in conj)
+    # facts grant nothing: the 6-cycle theorem is the six-cycle rule, one text
+    assert not any(hasattr(f, "grants") for f in kb)
+    c6_fact = next(f for f in kb if f.family == "cycle")
+    c6 = cycle(6)
+    cited = threshold_table(c6, _inv(c6))["prime"]
+    assert any(rf.rule == "six-cycle" and rf.statement == c6_fact.statement
+               for rf in cited)
 
 
 def test_c6_knowledge_base_grant():
@@ -125,10 +133,24 @@ def test_c6_knowledge_base_grant():
     inv = _inv(c6)
     rep3 = properties_at(c6, 3, inv)
     assert rep3.guaranteed("prime")
-    rules = {rf.rule for rf in rep3.verdicts["prime"].rules}
-    assert "knowledge-base" in rules
+    rules = {rf.rule: rf.threshold for rf in rep3.verdicts["prime"].rules}
+    assert rules == {"six-cycle": 3}
     rep2 = properties_at(c6, 2, inv)
     assert not rep2.guaranteed("prime")
+    # two disjoint triangles are 2-regular on six vertices, not the 6-cycle
+    rep = properties_at(TWO_K3, 3, _inv(TWO_K3))
+    assert not rep.guaranteed("prime")
+    assert all(rf.rule != "six-cycle"
+               for v in rep.verdicts.values() for rf in v.rules)
+
+
+def test_every_guarantee_cites_a_rule_that_fires(connected_n6):
+    for g in [g for g in connected_n6 if g.m] + [cycle(6), TWO_K3]:
+        inv = _inv(g)
+        for d in range(1, inv.pmd_value + inv.k + 3):
+            rep = properties_at(g, d, inv)
+            for p, v in rep.verdicts.items():
+                assert all(rf.threshold <= d for rf in v.rules), (g, d, p)
 
 
 def test_no_conjecture_justifies_guarantee(connected_n6):

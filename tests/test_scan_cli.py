@@ -22,6 +22,8 @@ def run_cli(*args, capsys=None):
 def test_csv_schema_version_pinned():
     assert CSV_SCHEMA_VERSION == 1
     assert len(CSV_HEADER) == 14
+    assert ",".join(CSV_HEADER) == ("id,n,m,bipartite,delta,k,alpha,pmd,status,"
+                                    "gap,ok_upper,ok_bipartite,ok_conjecture,ms")
 
 
 def test_csv_schema_and_single_edge_row():
@@ -196,6 +198,15 @@ def test_cli_thresholds(capsys):
     assert cli_main(["thresholds", "star:3", "--d", "5"]) == 0
     out = capsys.readouterr().out
     assert "ufd" in out and "guaranteed" in out
+
+
+def test_cli_thresholds_cites_the_six_cycle_rule_under_prime(capsys):
+    assert cli_main(["thresholds", "cycle:6", "--d", "3"]) == 0
+    out = capsys.readouterr().out
+    prime = out.split("\nprime")[1].split("\nirreducible")[0]
+    assert prime.split("\n")[0].split() == ["guaranteed"]
+    assert "[six-cycle] d >= 3 (fires)" in prime
+    assert "[pmd-prime] d >= 4 (needs)" in prime
 
 
 def test_cli_verify_star_path_d_example(capsys):
