@@ -147,14 +147,15 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
     ring = order.ring
     if ring.nvars > MAX_VARS:
         raise DeskScaleExceeded(f"{ring.nvars} variables exceeds the desk-scale cap {MAX_VARS}")
-    basis = []
+    basis, lms = [], []
     for f in gens:
         if not f.is_zero():
-            basis.append(f.scale(QQ(1) / f.terms[leading_monomial(f, order)]))
+            lm = leading_monomial(f, order)
+            basis.append(f.scale(QQ(1) / f.terms[lm]))
+            lms.append(lm)
     if not basis:
         return IdealBasis([], order, True)
 
-    lms = [leading_monomial(g, order) for g in basis]
     divisors = [_divisor(g, lm) for g, lm in zip(basis, lms)]
 
     def lcm(a, b):
@@ -206,13 +207,10 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
     keep = [divisors[i] for i in range(len(basis))
             if not any(k != i and divides(lms[k], lms[i])
                        and (lms[k] != lms[i] or k < i) for k in range(len(basis)))]
-    # tail-reduce each element against the others
-    reduced = []
-    for i, (g, _, _) in enumerate(keep):
-        r = _reduce(g, keep[:i] + keep[i + 1:], order)
-        if not r.is_zero():
-            reduced.append(r.scale(QQ(1) / r.terms[leading_monomial(r, order)]))
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)), reverse=True)
+    # tail-reduce each element against the others, by decreasing lead; no
+    # other kept lead divides an element's monic lead term, so it stays
+    keep.sort(key=lambda d: order.key(d[1]), reverse=True)
+    reduced = [_reduce(g, keep[:i] + keep[i + 1:], order) for i, (g, _, _) in enumerate(keep)]
     return IdealBasis(reduced, order, True)
 
 

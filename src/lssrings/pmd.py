@@ -16,22 +16,27 @@ edge with a few mask operations, without building the digraph, and
 enters.
 
 Stages are pruned whenever the residual max degree exceeds the
-remaining part budget. A success is memoized on the remaining edge set
-(``memo_part``), so ``_reconstruct`` can replay its first part. A
-refutation is memoized on ``graphs.canonical_form`` of the residual
-graph (``memo_lo``): whether a graph splits into q positive matchings
-depends neither on its labels nor on its isolated vertices, so one
-refutation serves every labeling, and the lower bound is exhaustion up
-to isomorphism. ``_Solver.certify`` only builds the certificate of each
-reported stage, from the same screen: ``posmatch.walk_weights`` folds
-``_extend`` over the part's edges and turns the final reach sets into
-integer weights. ``verify_decomposition`` is the one re-check, and every
-result passes it before it is returned. It re-derives edge masks from
-the reported 1-based parts and checks, stage by stage, that each part is
-a non-empty matching of the edges left, then every strict inequality of
-the definition on those edges; at the end no edge may be left. A forest
-skips the search: one traversal in ``forest_parts`` finds no cycle and
-colours the edges properly with max-degree many colours. The exact LP
+remaining part budget. The search keeps only refutations, memoized on
+``graphs.canonical_form`` of the residual graph (``memo_lo``): whether a
+graph splits into q positive matchings depends neither on its labels nor
+on its isolated vertices, so one refutation serves every labeling, and
+the lower bound is exhaustion up to isomorphism. ``pmd()`` asks for
+q = max degree, max degree + 1, ... and stops at the first yes, so a
+success is never looked up again: ``decide`` returns the parts of the
+first split it finds straight up the recursion.
+
+Every graph takes one path. The seed is ``forest_parts``, which on a
+forest colours the edges properly with max-degree many colours in one
+traversal, or else ``greedy_parts``; the search runs for each q below
+the seed's length, so a forest and an edgeless graph need none.
+``_Solver.certify`` only builds the certificate of each reported stage,
+from the same screen: ``posmatch.walk_weights`` folds ``_extend`` over
+the part's edges and turns the final reach sets into integer weights.
+``verify_decomposition`` is the one re-check, and every result passes it
+before it is returned. It re-derives edge masks from the reported
+1-based parts and checks, stage by stage, that each part is a non-empty
+matching of the edges left, then every strict inequality of the
+definition on those edges; at the end no edge may be left. The exact LP
 is not on this path; it serves only as the independent oracle in
 pmd_bruteforce.
 """
@@ -124,7 +129,6 @@ class _Solver:
             self.vmask[u] |= 1 << i
             self.vmask[v] |= 1 << i
         self.memo_lo: dict[tuple[int, ...], int] = {}     # canonical form -> lower bound
-        self.memo_part: dict[int, tuple[int, int]] = {}   # mask -> (length, first part)
 
     # -- bookkeeping
 
@@ -181,40 +185,36 @@ class _Solver:
                 rec(cur_mask | 1 << i, used | ends, _extend(nbr, used, reach, u, v), i + 1)
 
         rec(0, 0, [0] * self.g.n, 0)
-        return sorted(set(out), key=lambda pm: (-pm.bit_count(), pm))
+        return sorted(out, key=lambda pm: (-pm.bit_count(), pm))
 
     # -- decision procedure
 
-    def decide(self, mask: int, q: int) -> bool:
-        """Can the stage graph on ``mask`` be split into <= q positive matchings?
+    def decide(self, mask: int, q: int) -> list[int] | None:
+        """The parts, as edge masks with the first stage first, of a split
+        of the stage graph on ``mask`` into <= q positive matchings, or None.
 
-        The checks that need no stage come first: an empty stage, no part
-        left (q <= 0), the max-degree bound and a ``memo_part`` hit.
-        ``memo_part`` stays keyed on the mask: it is written only on
-        success, and its first part is an edge mask that ``_reconstruct``
-        replays on these labels. Only then is the stage built, once, for
-        both its canonical form and ``_maximal_parts``. ``memo_lo`` holds
-        refutations, which hold for every graph isomorphic to the stage, so
-        it is keyed on the canonical form and never on the mask."""
+        The checks that need no stage come first: an empty stage (no
+        parts), no part left (q <= 0) and the max-degree bound. Only then
+        is the stage built, once, for both its canonical form and
+        ``_maximal_parts``. Only refutations are memoized: ``memo_lo``
+        is keyed on the canonical form, since a refutation holds for every
+        graph isomorphic to the stage. The first success returns its parts
+        straight up the recursion."""
         if mask == 0:
-            return True
+            return []
         if q <= 0 or self._maxdeg(mask) > q:
-            return False
-        known = self.memo_part.get(mask)
-        if known is not None and known[0] <= q:
-            return True
+            return None
         host, nbr = self._stage(mask)
         key = canonical_form(nbr)
         if self.memo_lo.get(key, 1) > q:
-            return False
+            return None
         self._tick()
         for pm in self._maximal_parts(host, nbr):
-            if self.decide(mask & ~pm, q - 1):
-                sub = self.memo_part.get(mask & ~pm)
-                self.memo_part[mask] = (1 + (sub[0] if sub else 0), pm)
-                return True
+            rest = self.decide(mask & ~pm, q - 1)
+            if rest is not None:
+                return [pm, *rest]
         self.memo_lo[key] = q + 1
-        return False
+        return None
 
     # -- construction helpers
 
@@ -326,36 +326,18 @@ def pmd(g: Graph, node_budget: int | None = None,
                            else default_node_budget())
     tb = time_budget if time_budget is not None else DEFAULT_TIME_BUDGET
     s = _Solver(g, nb, tb)
-    if s.m == 0:
-        return PmdResult(0, PmdDecomposition((), ()), "exact", 0, _ms(t0))
-
-    lb = max_degree(g)
-
-    fp = s.forest_parts()
-    if fp is not None and len(fp) == lb:
-        return PmdResult(lb, s.certify(fp), "exact", s.nodes, _ms(t0))
-
-    best = s.greedy_parts()
+    best = s.forest_parts() or s.greedy_parts()
     status = "exact"
     try:
-        for q in range(lb, len(best)):
-            if s.decide((1 << s.m) - 1, q):
-                best = _reconstruct(s)
+        for q in range(max_degree(g), len(best)):
+            found = s.decide((1 << s.m) - 1, q)
+            if found is not None:
+                best = found
                 break
     except BudgetExhausted:
         status = "upper_bound_only"
     dec = s.certify(best)
     return PmdResult(len(dec), dec, status, s.nodes, _ms(t0))
-
-
-def _reconstruct(s: _Solver) -> list[int]:
-    parts = []
-    mask = (1 << s.m) - 1
-    while mask:
-        pm = s.memo_part[mask][1]
-        parts.append(pm)
-        mask &= ~pm
-    return parts
 
 
 def _ms(t0: float) -> float:
@@ -365,8 +347,6 @@ def _ms(t0: float) -> float:
 def greedy_upper_bound(g: Graph) -> PmdDecomposition:
     """Greedy stage decomposition (valid, length upper-bounds pmd)."""
     s = _Solver(g, 10 ** 9, 3600.0)
-    if s.m == 0:
-        return PmdDecomposition((), ())
     return s.certify(s.greedy_parts())
 
 

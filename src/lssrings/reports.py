@@ -94,6 +94,7 @@ class PropertyReport:
 
 _C6_THEOREM = ("the 6-cycle: not prime and not a complete intersection at "
                "d = 2, prime complete intersection from d = 3 on")
+_FOREST_THEOREM = "forests with d >= degree + 1 have a normal quotient ring"
 
 # Rule table, the only source of guarantees. Each entry: (rule id, least
 # firing d as a function of the graph and its invariants, or None when the
@@ -129,9 +130,7 @@ _RULES = (
      "d >= pmd + degeneracy + 1: unique factorization domain",
      ""),
     ("forest-normal", lambda g, i: i.delta + 1 if is_forest(g) else None,
-     ("normal",),
-     "forests with d >= degree + 1 have a normal quotient ring",
-     ""),
+     ("normal",), _FOREST_THEOREM, ""),
     ("six-cycle", lambda g, i: 3 if g.n == 6 and is_cycle_graph(g) else None,
      ("prime", "irreducible", "complete_intersection", "radical"),
      _C6_THEOREM, "Conca-Welker 2019"),
@@ -175,12 +174,11 @@ class FamilyFact:
 
 def knowledge_base() -> tuple[FamilyFact, ...]:
     """Citable family facts; conjectures are flagged. Guarantees come only
-    from the rule table, where the 6-cycle theorem is the six-cycle row."""
+    from the rule table, where the 6-cycle and forest theorems are the
+    six-cycle and forest-normal rows."""
     return (
         FamilyFact("cycle", (6,), _C6_THEOREM, "theorem", "Conca-Welker 2019"),
-        FamilyFact("forest", (),
-                   "forests are normal at every d >= degree + 1",
-                   "theorem"),
+        FamilyFact("forest", (), _FOREST_THEOREM, "theorem"),
         FamilyFact("star", ("n",),
                    "the star on n vertices at d = n has divisor class group Z; "
                    "in particular the UFD threshold pmd + degeneracy + 1 is "

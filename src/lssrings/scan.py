@@ -18,7 +18,7 @@ import time
 import traceback
 from dataclasses import dataclass, fields
 
-from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
+from .graphs import (Graph, GraphFormatError, degeneracy, encode_graph6,
                      is_bipartite, max_degree, parse_graph6)
 from .pmd import check_node_budget, default_node_budget
 from .pmd import pmd as solve_pmd

@@ -26,9 +26,9 @@ def test_example_graph_value_and_parts():
 def test_forest_equality():
     assert pmd(star(5)).value == 5
     assert pmd(path(6)).value == 2
-    for g in (star(5), path(6), path(2)):
-        res = pmd(g)
-        assert res.status == "exact" and res.value == max_degree(g)
+    for g in (star(5), path(6), path(2), Graph.from_edges(8, [(2, 4), (4, 6), (4, 7), (1, 8)])):
+        res = pmd(g)                       # the forest seed leaves nothing to search
+        assert (res.status, res.value, res.nodes) == ("exact", max_degree(g), 0)
         assert verify_decomposition(g, res.decomposition)
 
 
@@ -94,6 +94,43 @@ def test_budget_exhaustion_degrades_to_upper_bound():
     assert res.status == "upper_bound_only"
     assert res.value >= 7                  # never better than the optimum
     assert verify_decomposition(complete(5), res.decomposition)
+
+
+@pytest.mark.parametrize("g", [Graph(0, ()), Graph(5, ())], ids=["n0", "n5"])
+def test_edgeless_graph_takes_the_one_path(g):
+    res = pmd(g)
+    assert (res.value, res.status, res.nodes) == (0, "exact", 0)
+    assert res.decomposition == PmdDecomposition((), ())
+    assert greedy_upper_bound(g) == PmdDecomposition((), ())
+
+
+def test_decide_returns_the_parts_of_a_split(connected_n6):
+    """decide refutes pmd - 1 parts and, at pmd, returns edge masks that
+    partition the edges and certify into a valid decomposition."""
+    for g in connected_n6:
+        if not g.m:
+            continue
+        value = pmd(g).value
+        s = _Solver(g, 10 ** 6, 60.0)
+        full = (1 << s.m) - 1
+        assert s.decide(full, value - 1) is None
+        parts = s.decide(full, value)
+        assert len(parts) == value
+        covered = 0
+        for pm in parts:
+            assert pm and not pm & covered
+            covered |= pm
+        assert covered == full
+        assert verify_decomposition(g, s.certify(parts))
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_budget_stop_keeps_the_greedy_seed(budget):
+    g = complete(8)
+    res = pmd(g, node_budget=budget)
+    assert res.status == "upper_bound_only"
+    assert res.value == len(greedy_upper_bound(g))
+    assert res.decomposition == greedy_upper_bound(g)
 
 
 @pytest.mark.parametrize("budget", [0, -5])

@@ -126,6 +126,12 @@ def test_knowledge_base_statuses():
     cited = threshold_table(c6, _inv(c6))["prime"]
     assert any(rf.rule == "six-cycle" and rf.statement == c6_fact.statement
                for rf in cited)
+    # the forest theorem is likewise the forest-normal rule, one text
+    forest_fact = next(f for f in kb if f.family == "forest")
+    p4 = path(4)
+    cited = threshold_table(p4, _inv(p4))["normal"]
+    assert any(rf.rule == "forest-normal" and rf.statement == forest_fact.statement
+               for rf in cited)
 
 
 def test_c6_knowledge_base_grant():
