@@ -4,11 +4,10 @@ decompositions with integer certificates, a desk-scale Groebner engine, and a
 corpus-scanning harness for the two open inequalities.
 """
 
-from .graphs import (Graph, EliminationOrder, alpha, complete,
-                     complete_bipartite, cycle, degeneracy, delete_vertex,
-                     encode_graph6, family, gapped, induced_subgraph,
-                     is_bipartite, is_forest, max_degree, parse_edge_list,
-                     parse_graph6, path, star)
+from .graphs import (Graph, alpha, complete, complete_bipartite, cycle,
+                     degeneracy, delete_vertex, encode_graph6, family, gapped,
+                     induced_subgraph, is_bipartite, is_forest, max_degree,
+                     parse_edge_list, parse_graph6, path, star)
 from .pmd import (PmdDecomposition, PmdResult, greedy_upper_bound, pmd,
                   pmd_bruteforce, verify_decomposition)
 from .posmatch import (LinearSystem, WeightCertificate, check_certificate,
@@ -17,7 +16,7 @@ from .posmatch import (LinearSystem, WeightCertificate, check_certificate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "EliminationOrder", "alpha", "complete", "complete_bipartite",
+    "Graph", "alpha", "complete", "complete_bipartite",
     "cycle", "degeneracy", "delete_vertex", "encode_graph6", "family",
     "gapped", "induced_subgraph", "is_bipartite", "is_forest", "max_degree",
     "parse_edge_list", "parse_graph6", "path", "star",

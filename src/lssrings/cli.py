@@ -37,12 +37,12 @@ def load_graph(spec: str) -> Graph:
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
-        stripped = [l for l in text.splitlines() if l.strip() and not l.lstrip().startswith("#")]
-        if stripped and stripped[0].strip().isdigit():
-            return parse_edge_list(text)
-        if not stripped:
+        first = next(iter_corpus_lines(text), None)
+        if first is None:
             raise GraphFormatError(f"{spec}: empty graph file")
-        return parse_graph6(stripped[0])
+        if first.isdigit():
+            return parse_edge_list(text)
+        return parse_graph6(first)
     if ":" in spec:
         kind, _, rest = spec.partition(":")
         params = [int(x) for x in rest.split(",") if x]
@@ -56,7 +56,7 @@ def cmd_invariants(args) -> int:
     data = {
         "graph6": encode_graph6(g), "n": g.n, "m": g.m,
         "bipartite": is_bipartite(g), "delta": max_degree(g), "k": k,
-        "alpha": alpha(g), "elimination_order": list(order.order),
+        "alpha": alpha(g), "elimination_order": list(order),
     }
     if args.json:
         print(json.dumps(data))
@@ -143,10 +143,10 @@ def _verify_example() -> bool:
     ok &= verify_decomposition(g, res.decomposition)
     d = 3
     ring = ring_for(g.n, d)
-    wv = weight_from_pmd(res.decomposition, d)
+    order = weight_from_pmd(res.decomposition, ring)
     monos = []
     for (edge, f) in lss_generators(g, d, ring):
-        ini = initial_form(f, wv)
+        ini = initial_form(f, order)
         monos.append(next(iter(ini.terms)))
         print(f"  leading form of edge {edge}: {ini}")
         if len(ini) != 1:
@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("corpus")
     sp.add_argument("--budget", type=positive_int, default=None)
     sp.add_argument("--jobs", type=positive_int, default=1)
-    sp.add_argument("--max-n", type=int, default=None)
+    sp.add_argument("--max-n", type=positive_int, default=None)
     fmt = sp.add_mutually_exclusive_group()
     fmt.add_argument("--csv", dest="output", default=None,
                      help="write CSV rows to a file (default: CSV to stdout)")
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("trees", help="enumerate labeled trees as graph6")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=positive_int, required=True)
     sp.add_argument("--check", action="store_true",
                     help="assert pmd = degree on every tree")
     sp.add_argument("--budget", type=positive_int, default=None)

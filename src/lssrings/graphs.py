@@ -144,17 +144,21 @@ def encode_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse "n\\ni j\\n..." with 1-based endpoints; '#' lines are comments."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Parse "n\\ni j\\n..." with 1-based endpoints; '#' lines are comments.
+
+    Errors name the line's number in ``text``, blank and comment lines counted.
+    """
+    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty edge-list input")
+    k, head = lines[0]
     try:
-        n = int(lines[0])
+        n = int(head)
     except ValueError:
-        raise GraphFormatError(f"line 1: expected vertex count, got {lines[0]!r}")
+        raise GraphFormatError(f"line {k}: expected vertex count, got {head!r}")
     pairs = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {k}: expected 'i j', got {ln!r}")
@@ -225,18 +229,11 @@ def family(kind: str, *params) -> Graph:
 # ---------------------------------------------------------------------------
 # invariants
 
-@dataclass(frozen=True)
-class EliminationOrder:
-    """Removal order (1-based) and the max degree seen at removal time."""
-
-    order: tuple[int, ...]
-    peak: int
-
-
-def degeneracy(g: Graph) -> tuple[int, EliminationOrder]:
+def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Repeated minimum-degree removal; ties go to the smallest vertex index.
 
-    Returns the degeneracy together with the witnessing elimination order.
+    Returns the degeneracy (the max degree seen at removal time) together
+    with the witnessing elimination order of 1-based vertices.
     """
     adj = g.adjacency()
     alive = set(range(g.n))
@@ -251,7 +248,7 @@ def degeneracy(g: Graph) -> tuple[int, EliminationOrder]:
         for w in adj[v]:
             if w in alive:
                 deg[w] -= 1
-    return peak, EliminationOrder(tuple(order), peak)
+    return peak, tuple(order)
 
 
 def max_degree(g: Graph) -> int:

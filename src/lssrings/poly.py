@@ -4,8 +4,9 @@ A Ring fixes the variable order (vertex-major, column-minor, so y[1,1]
 is the most significant variable); monomials are dense exponent tuples
 over that order. Term comparison is an integer weight vector refined by
 graded reverse lexicographic order, which is also how elimination
-orders are expressed (weight 1 on the variable to eliminate). Rational
-weights are scaled to integers once, when the order is built.
+orders are expressed (weight 1 on the variable to eliminate). Weights
+are integers throughout; ``weight_from_pmd`` builds them straight from
+the integer stage certificates of a decomposition.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .graphs import Graph
-from .rationals import QQ, ZERO, common_denominator, rat_str
+from .rationals import QQ, ZERO, rat_str
 
 
 class Ring:
@@ -72,45 +73,15 @@ def grevlex_key(mono):
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Rational weight per variable token; absent tokens weigh 0."""
-
-    weights: tuple[tuple[object, object], ...]
-
-    @staticmethod
-    def from_map(m: dict) -> "WeightVector":
-        return WeightVector(tuple(sorted(((t, QQ(w)) for t, w in m.items()), key=lambda x: x[0])))
-
-    def as_map(self) -> dict:
-        return dict(self.weights)
-
-    def on_ring(self, ring: Ring):
-        m = self.as_map()
-        return tuple(m.get(t, ZERO) for t in ring.tokens)
-
-
-@dataclass(frozen=True)
 class TermOrder:
-    """Integer weight vector refined by grevlex; zero weights give plain grevlex.
-
-    Rational weights are multiplied by their common denominator on
-    construction; a positive factor leaves the order unchanged.
-    """
+    """Integer weight vector refined by grevlex; zero weights give plain grevlex."""
 
     ring: Ring
-    weights: tuple
-
-    def __post_init__(self):
-        den = common_denominator(self.weights)
-        object.__setattr__(self, "weights", tuple(int(w * den) for w in self.weights))
+    weights: tuple[int, ...]
 
     @staticmethod
     def grevlex(ring: Ring) -> "TermOrder":
         return TermOrder(ring, (0,) * ring.nvars)
-
-    @staticmethod
-    def weighted(ring: Ring, wv: WeightVector) -> "TermOrder":
-        return TermOrder(ring, wv.on_ring(ring))
 
     @staticmethod
     def elimination(ring: Ring, token) -> "TermOrder":
@@ -240,11 +211,12 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # leading terms and initial forms
 
-def initial_form(f: Polynomial, wv: WeightVector) -> Polynomial:
-    """Sum of the terms of f attaining the maximal weight."""
+def initial_form(f: Polynomial, order: TermOrder) -> Polynomial:
+    """Sum of the terms of f attaining the maximal weight under ``order``."""
+    if order.ring != f.ring:
+        raise ValueError("term order is built on another ring")
     if f.is_zero():
         return f
-    order = TermOrder.weighted(f.ring, wv)
     weight = {m: order.weight(m) for m in f.terms}
     top = max(weight.values())
     return Polynomial(f.ring, {m: c for m, c in f.terms.items() if weight[m] == top})
@@ -289,34 +261,31 @@ def lss_generators(g: Graph, d: int, ring: Ring | None = None):
     return out
 
 
-def weight_from_pmd(dec, d: int) -> WeightVector:
-    """Weights making the column-l quadric term lead for every part-l edge.
+def weight_from_pmd(dec, ring: Ring) -> TermOrder:
+    """Integer weights making the column-l quadric term lead for every part-l edge.
 
-    With integer stage certificates w_l and B exceeding every |edge sum|,
-    the weight 1 + w_l(v)/B^l on y[v,l] (zero past the part count) puts
-    the column-l term of an l-th part edge strictly above the others:
-    earlier columns contribute below 2, later ones at most 2 + (B-1)/B^k
-    with k > l, and truncated columns exactly 0. The conclusion is
-    machine-checked by the callers rather than trusted.
+    With p parts, integer stage certificates w_l and B exceeding every
+    |edge sum|, y[v,l] weighs B^p + w_l(v)*B^(p-l) for l <= p; columns
+    past the part count and vertices off the decomposition weigh 0. For
+    an edge {i,j} of the l-th part, the column-c term weighs
+    2*B^p + (w_c(i) + w_c(j))*B^(p-c). The edge sum is >= 1 at c = l, so
+    that column weighs at least 2*B^p + B^(p-l); it is <= -1 at earlier
+    columns (weight below 2*B^p) and at most B - 1 at later ones (weight
+    below 2*B^p + B^(p-c+1) <= 2*B^p + B^(p-l)); truncated columns weigh
+    0. The conclusion is machine-checked by the callers rather than
+    trusted.
     """
     p = len(dec.parts)
-    if d < p:
+    if max((t[2] for t in ring.tokens), default=0) < p:
         raise ValueError(f"need d >= number of parts ({p})")
-    all_edges = [e for part in dec.parts for e in part]
-    vertices = sorted({v for c in dec.certificates for v, _ in c.weights}
-                      | {v for e in all_edges for v in e})
-    big = 1
-    for cert in dec.certificates:
-        w = cert.as_map()
-        for (i, j) in all_edges:
-            big = max(big, abs(w.get(i, 0) + w.get(j, 0)))
-    big += 1
-    weights = {}
-    for l, cert in enumerate(dec.certificates, start=1):
-        w = cert.as_map()
-        for v in vertices:
-            weights[("y", v, l)] = QQ(1) + QQ(w.get(v, 0)) * QQ(1, big ** l)
-    return WeightVector.from_map(weights)
+    certs = [cert.as_map() for cert in dec.certificates]
+    edges = [e for part in dec.parts for e in part]
+    vertices = {v for w in certs for v in w} | {v for e in edges for v in e}
+    big = 1 + max([1] + [abs(w.get(i, 0) + w.get(j, 0)) for w in certs for (i, j) in edges])
+    return TermOrder(ring, tuple(
+        big ** p + certs[l - 1].get(v, 0) * big ** (p - l)
+        if l <= p and v in vertices else 0
+        for _, v, l in ring.tokens))
 
 
 # ---------------------------------------------------------------------------

@@ -87,20 +87,20 @@ def test_criterion_05_conjecture_scan(connected_n6):
           f"connected graphs n <= 6; gapped family n = 4 gap = 2")
 
 
-def test_criterion_06_term_order_conclusion(all_n5):
+def test_criterion_06_term_order_conclusion(all_n5, connected_n6):
     checked = 0
-    for g in all_n5:
+    for g in (*all_n5, *connected_n6):
         if g.m == 0:
             continue
         res = pmd(g)
         d = res.value
         ring = ring_for(g.n, d)
-        wv = weight_from_pmd(res.decomposition, d)
+        order = weight_from_pmd(res.decomposition, ring)
         part_of = {e: l for l, part in enumerate(res.decomposition.parts, start=1)
                    for e in part}
         monos = []
         for edge, f in lss_generators(g, d, ring):
-            ini = initial_form(f, wv)
+            ini = initial_form(f, order)
             l = part_of[edge]
             assert ini == yvar(ring, edge[0], l) * yvar(ring, edge[1], l), (
                 encode_graph6(g), edge)
@@ -110,14 +110,15 @@ def test_criterion_06_term_order_conclusion(all_n5):
     # the worked example's underlined monomials, exactly
     res = pmd(EXAMPLE)
     ring = ring_for(4, 3)
-    wv = weight_from_pmd(res.decomposition, 3)
-    got = {e: initial_form(f, wv) for e, f in lss_generators(EXAMPLE, 3, ring)}
+    order = weight_from_pmd(res.decomposition, ring)
+    got = {e: initial_form(f, order) for e, f in lss_generators(EXAMPLE, 3, ring)}
     assert got[(1, 2)] == yvar(ring, 1, 1) * yvar(ring, 2, 1)
     assert got[(2, 3)] == yvar(ring, 2, 2) * yvar(ring, 3, 2)
     assert got[(2, 4)] == yvar(ring, 2, 3) * yvar(ring, 4, 3)
     assert got[(3, 4)] == yvar(ring, 3, 1) * yvar(ring, 4, 1)
     print(f"PASS criterion 6: leading-form conclusion holds on {checked} "
-          f"graphs n <= 5 at d = pmd; example monomials match exactly")
+          f"graphs (all n <= 5, connected n <= 6) at d = pmd; "
+          f"example monomials match exactly")
 
 
 def test_criterion_07_dimension_and_multiplicity():
@@ -125,10 +126,10 @@ def test_criterion_07_dimension_and_multiplicity():
     g = path(4)
     res = pmd(g)
     ring = ring_for(4, 3)
-    wv = weight_from_pmd(res.decomposition, 3)
+    order = weight_from_pmd(res.decomposition, ring)
     lts = []
     for _, f in lss_generators(g, 3, ring):
-        ini = initial_form(f, wv)
+        ini = initial_form(f, order)
         assert len(ini) == 1
         lts.append(next(iter(ini.terms)))
     mi = MonomialIdeal(tuple(minimalize(lts)), ring.nvars)

@@ -79,6 +79,16 @@ def test_parse_edge_list_rejects_self_loop_and_duplicates():
         parse_edge_list("2\n1 3")
 
 
+def test_parse_edge_list_errors_name_the_physical_line():
+    """Blank and comment lines count: the bad endpoint is on line 6."""
+    with pytest.raises(GraphFormatError, match=r"^line 6: non-integer endpoint in '2 x'$"):
+        parse_edge_list("# h\n\n3\n1 2\n# c\n2 x")
+    with pytest.raises(GraphFormatError, match=r"^line 3: expected 'i j', got '1 2 3'$"):
+        parse_edge_list("# h\n3\n1 2 3")
+    with pytest.raises(GraphFormatError, match=r"^line 2: expected vertex count, got 'x'$"):
+        parse_edge_list("\nx\n1 2")
+
+
 def test_degeneracy_known_values():
     assert degeneracy(complete(5))[0] == 4
     assert degeneracy(path(4))[0] == 1
@@ -87,13 +97,13 @@ def test_degeneracy_known_values():
 
 def test_degeneracy_witness_replays():
     g = parse_edge_list(EXAMPLE)
-    k, elim = degeneracy(g)
-    assert sorted(elim.order) == [1, 2, 3, 4]
-    assert elim.peak == k
+    k, order = degeneracy(g)
+    assert sorted(order) == [1, 2, 3, 4]
+    assert all(type(v) is int for v in order)
     # replay: degree of each removed vertex in the residual graph never exceeds k
     alive = set(range(1, g.n + 1))
     peak = 0
-    for v in elim.order:
+    for v in order:
         deg = sum(1 for (a, b) in g.edge_labels()
                   if (a == v and b in alive) or (b == v and a in alive))
         peak = max(peak, deg)

@@ -126,8 +126,7 @@ def test_initial_ideal_coprime_quadrics_all_n4(all_n5):
         res = pmd(g)
         for d in (res.value, res.value + 1):
             ring = ring_for(g.n, d)
-            wv = weight_from_pmd(res.decomposition, d)
-            order = TermOrder.weighted(ring, wv)
+            order = weight_from_pmd(res.decomposition, ring)
             gb = buchberger([f for _, f in lss_generators(g, d, ring)], order)
             mi = initial_ideal(gb)
             assert len(mi.gens) == g.m
@@ -143,15 +142,14 @@ def test_initial_ideal_under_pmd_weights_needs_no_reduction():
         res = pmd(g)
         d = res.value
         ring = ring_for(g.n, d)
-        wv = weight_from_pmd(res.decomposition, d)
-        order = TermOrder.weighted(ring, wv)
+        order = weight_from_pmd(res.decomposition, ring)
         gens = [f for _, f in lss_generators(g, d, ring)]
         gb = buchberger(gens, order)
         mi = initial_ideal(gb)
         # squarefree pairwise-coprime quadrics, one per edge
         assert len(mi.gens) == g.m
         assert all(sum(m) == 2 and max(m) == 1 for m in mi.gens)
-        monos = [initial_form(f, wv) for f in gens]
+        monos = [initial_form(f, order) for f in gens]
         assert sorted(next(iter(p.terms)) for p in monos) == sorted(mi.gens)
 
 
@@ -346,13 +344,12 @@ def test_edge_quadric_bases_match_sympy():
 
 
 def test_weighted_basis_is_invariant_under_scaling():
-    """Integer weights are the given ones times their common denominator;
-    the same weights times 7/3 give the same order and the same basis."""
+    """The weight_from_pmd weights are integers; the same weights times 7
+    give the same order and the same basis."""
     d = 3
     ring = ring_for(EXAMPLE.n, d)
-    wv = weight_from_pmd(pmd(EXAMPLE).decomposition, d)
-    order = TermOrder.weighted(ring, wv)
-    scaled = TermOrder(ring, tuple(q * QQ(7, 3) for q in wv.on_ring(ring)))
+    order = weight_from_pmd(pmd(EXAMPLE).decomposition, ring)
+    scaled = TermOrder(ring, tuple(7 * w for w in order.weights))
     for o in (order, scaled):
         assert all(type(w) is int for w in o.weights)
         assert type(o.key((1,) * ring.nvars)[0]) is int
@@ -418,8 +415,7 @@ def _random_poly(rng, ring, terms, weights=(8, 3, 1)):
 
 def _three_orders(ring, g, d):
     """grevlex, the weight_from_pmd order of g at d, and an elimination order."""
-    wv = weight_from_pmd(pmd(g).decomposition, d)
-    return (TermOrder.grevlex(ring), TermOrder.weighted(ring, wv),
+    return (TermOrder.grevlex(ring), weight_from_pmd(pmd(g).decomposition, ring),
             TermOrder.elimination(ring, ring.tokens[-1]))
 
 

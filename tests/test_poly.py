@@ -6,7 +6,7 @@ import pytest
 
 from lssrings.graphs import parse_edge_list, path, star
 from lssrings.pmd import pmd
-from lssrings.poly import (Polynomial, TermOrder, WeightVector, initial_form,
+from lssrings.poly import (Polynomial, TermOrder, initial_form,
                            leading_monomial, lss_generators, matrix_D,
                            pairwise_coprime_squarefree, ring_for,
                            weight_from_pmd, yvar)
@@ -55,22 +55,25 @@ def test_initial_form_basics():
     r = ring_for(1, 2)
     x, y = yvar(r, 1, 1), yvar(r, 1, 2)
     f = x + y
-    w = WeightVector.from_map({("y", 1, 1): QQ(1)})
-    assert initial_form(f, w) == x
-    zero_w = WeightVector.from_map({})
-    assert initial_form(f, zero_w) == f
+    assert initial_form(f, TermOrder(r, (1, 0))) == x
+    assert initial_form(f, TermOrder.grevlex(r)) == f
+    # weights are positional: an order on another ring is refused
+    with pytest.raises(ValueError, match="another ring"):
+        initial_form(f, TermOrder.grevlex(ring_for(2, 2)))
+    with pytest.raises(ValueError, match="another ring"):
+        initial_form(x, weight_from_pmd(pmd(EXAMPLE).decomposition, ring_for(4, 3)))
 
 
 def test_weight_from_pmd_example_underlined_terms():
     res = pmd(EXAMPLE)
     d = 3
     r = ring_for(4, d)
-    wv = weight_from_pmd(res.decomposition, d)
+    order = weight_from_pmd(res.decomposition, r)
     expected = {(1, 2): ((1, 1), (2, 1)), (3, 4): ((3, 1), (4, 1)),
                 (2, 3): ((2, 2), (3, 2)), (2, 4): ((2, 3), (4, 3))}
     monos = []
     for edge, f in lss_generators(EXAMPLE, d, r):
-        ini = initial_form(f, wv)
+        ini = initial_form(f, order)
         a, b = expected[edge]
         assert ini == yvar(r, *a) * yvar(r, *b)
         monos.append(next(iter(ini.terms)))
@@ -80,16 +83,16 @@ def test_weight_from_pmd_example_underlined_terms():
 def test_weight_from_pmd_single_edge_and_star():
     g = parse_edge_list("2\n1 2")
     res = pmd(g)
-    wv = weight_from_pmd(res.decomposition, 1)
     (edge, f) = lss_generators(g, 1)[0]
-    assert initial_form(f, wv) == f        # one column: f is its own form
+    order = weight_from_pmd(res.decomposition, f.ring)
+    assert initial_form(f, order) == f     # one column: f is its own form
     s = star(3)
     rs = pmd(s)
     d = 3
     ring = ring_for(4, d)
-    wv = weight_from_pmd(rs.decomposition, d)
+    order = weight_from_pmd(rs.decomposition, ring)
     for edge, f in lss_generators(s, d, ring):
-        ini = initial_form(f, wv)
+        ini = initial_form(f, order)
         assert len(ini) == 1
         l = next(l for l, part in enumerate(rs.decomposition.parts, start=1)
                  if edge in part)
@@ -99,7 +102,54 @@ def test_weight_from_pmd_single_edge_and_star():
 def test_weight_from_pmd_rejects_small_d():
     res = pmd(EXAMPLE)
     with pytest.raises(ValueError, match="need d >="):
-        weight_from_pmd(res.decomposition, 2)
+        weight_from_pmd(res.decomposition, ring_for(4, 2))
+
+
+def _rational_weights(dec):
+    """The rational construction the integer weights replace, as a reference:
+    1 + w_l(v)/B^l on y[v,l] for the certified and covered vertices, l <= p."""
+    all_edges = [e for part in dec.parts for e in part]
+    vertices = ({v for c in dec.certificates for v, _ in c.weights}
+                | {v for e in all_edges for v in e})
+    big = 1
+    for cert in dec.certificates:
+        w = cert.as_map()
+        for (i, j) in all_edges:
+            big = max(big, abs(w.get(i, 0) + w.get(j, 0)))
+    big += 1
+    weights = {}
+    for l, cert in enumerate(dec.certificates, start=1):
+        w = cert.as_map()
+        for v in vertices:
+            weights[("y", v, l)] = QQ(1) + QQ(w.get(v, 0)) * QQ(1, big ** l)
+    return weights, big
+
+
+def test_integer_weights_are_the_rational_ones_times_b_to_the_p(connected_n6):
+    """Entry for entry, the integer weights equal B^p times the rational
+    weights 1 + w_l(v)/B^l (0 on absent tokens), at d = pmd and pmd + 1."""
+    checked = 0
+    for g in connected_n6:
+        if g.m == 0:
+            continue
+        dec = pmd(g).decomposition
+        p = len(dec.parts)
+        for d in (p, p + 1):
+            ring = ring_for(g.n, d)
+            rational, big = _rational_weights(dec)
+            want = tuple(rational.get(t, QQ(0)) * big ** p for t in ring.tokens)
+            order = weight_from_pmd(dec, ring)
+            assert all(type(w) is int for w in order.weights)
+            assert order.weights == want
+            checked += 1
+    assert checked == 2 * 142
+    # a ring with a vertex off the decomposition: its variables weigh 0
+    dec = pmd(EXAMPLE).decomposition
+    ring = ring_for(5, 3)
+    rational, big = _rational_weights(dec)
+    order = weight_from_pmd(dec, ring)
+    assert order.weights == tuple(rational.get(t, QQ(0)) * big ** 3 for t in ring.tokens)
+    assert order.weights[-3:] == (0, 0, 0)
 
 
 def test_leading_monomial_grevlex_ties():
@@ -169,7 +219,7 @@ def test_term_order_axioms_random():
     r = ring_for(3, 2)
     one = (0,) * r.nvars
     for _ in range(40):
-        w = tuple(QQ(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(r.nvars))
+        w = tuple(rng.randint(0, 5) for _ in range(r.nvars))
         order = TermOrder(r, w)
         monos = [tuple(rng.randint(0, 3) for _ in range(r.nvars)) for _ in range(6)]
         for m in monos:
@@ -188,8 +238,7 @@ def test_initial_form_multiplicative():
     rng = random.Random(29)
     r = ring_for(2, 3)
     for _ in range(25):
-        w = WeightVector.from_map(
-            {t: QQ(rng.randint(0, 4)) for t in r.tokens})
+        w = TermOrder(r, tuple(rng.randint(0, 4) for _ in r.tokens))
         f = _random_poly(r, rng)
         g = _random_poly(r, rng)
         if f.is_zero() or g.is_zero():

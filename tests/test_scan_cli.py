@@ -279,6 +279,35 @@ def test_cli_trees_roundtrip(capsys):
         assert g.n == 3 and g.m == 2
 
 
+def test_cli_graph_files_skip_comments_and_report_physical_lines(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("# the example\n\n4\n1 2\n2 3\n2 4\n# last edge\n3 4\n",
+                     encoding="utf-8")
+    g6 = tmp_path / "g.g6"
+    g6.write_text("  # header\n\nC~\n", encoding="utf-8")
+    for path, delta in ((edges, 3), (g6, 3)):
+        assert cli_main(["invariants", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["delta"] == delta
+    edges.write_text("# h\n\n3\n1 2\n# c\n2 x\n", encoding="utf-8")
+    assert cli_main(["invariants", str(edges)]) == 1
+    assert capsys.readouterr().err == "error: line 6: non-integer endpoint in '2 x'\n"
+    edges.write_text("# only a comment\n\n", encoding="utf-8")
+    assert cli_main(["invariants", str(edges)]) == 1
+    assert capsys.readouterr().err == f"error: {edges}: empty graph file\n"
+
+
+def test_cli_trees_n_and_scan_max_n_reject_values_below_one(tmp_path, capsys):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("A_\n", encoding="utf-8")
+    for argv in (["trees", "--n", "0", "--check"], ["trees", "--n", "-1"],
+                 ["scan", str(corpus), "--max-n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert not captured.out and "must be at least 1" in captured.err
+
+
 def test_cli_trees_check(capsys):
     assert cli_main(["trees", "--n", "4", "--check"]) == 0
     assert "PASS" in capsys.readouterr().out
