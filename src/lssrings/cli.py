@@ -45,8 +45,7 @@ def load_graph(spec: str) -> Graph:
         return parse_graph6(first)
     if ":" in spec:
         kind, _, rest = spec.partition(":")
-        params = [int(x) for x in rest.split(",") if x]
-        return family(kind, *params)
+        return family(kind, *(x for x in rest.split(",") if x))
     return parse_graph6(spec)
 
 
@@ -100,6 +99,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n is not None and args.target not in ("star", "path"):
+        raise ValueError(f"--n applies to star and path only, not {args.target}")
     ok = True
     if args.target == "star":
         suite = verify_star_suite(3 if args.n is None else args.n)

@@ -217,13 +217,20 @@ _FAMILIES = {   # name -> (constructor, number of parameters)
 
 
 def family(kind: str, *params) -> Graph:
+    """The named family's graph; each parameter is a nonnegative int or
+    decimal string, or a GraphFormatError names the family."""
     if kind not in _FAMILIES:
         raise GraphFormatError(f"unknown family {kind!r}")
     make, arity = _FAMILIES[kind]
     if len(params) != arity:
         raise GraphFormatError(f"family {kind!r} takes {arity} parameter"
                                f"{'s' if arity > 1 else ''}, got {len(params)}")
-    return make(*map(int, params))
+    texts = [str(p).strip() for p in params]
+    for p, text in zip(params, texts):
+        if not text.isdecimal():
+            raise GraphFormatError(f"family {kind!r}: parameter {p!r} "
+                                   "is not a nonnegative integer")
+    return make(*map(int, texts))
 
 
 # ---------------------------------------------------------------------------

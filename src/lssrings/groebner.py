@@ -1,13 +1,16 @@
 """Desk-scale Buchberger engine with monomial-ideal dimension and
 multiplicity, ideal intersection by elimination, and membership tests.
 
-All division goes through one loop, `_reduce`, which takes each divisor
-with its leading monomial (computed once) and the support bitmask of
-that monomial, keeps the working terms in one dict and takes them
-largest first from a heap. Buchberger keeps its pending pairs in a heap
-on the lcm key. The selection strategy (normal: smallest lcm key first)
-and the coprime and chain criteria are the textbook ones; the heaps
-only avoid rescanning the pairs and the working polynomial at each step.
+Each basis element is made monic once, by `_monic`, into the triple
+(monic polynomial, leading monomial, support bitmask of that monomial);
+Buchberger keeps the triples, in its result too, so membership tests
+and initial ideals read the leads. All division goes through one loop,
+`_reduce`, which never divides since its divisors are monic; it keeps
+the working terms in one dict and takes them largest first from a heap.
+Buchberger keeps its pending pairs in a heap on the lcm key. The
+selection strategy (normal: smallest lcm key first) and the coprime and
+chain criteria are the textbook ones; the heaps only avoid rescanning
+the pairs and the working polynomial at each step.
 
 Sizes are deliberately capped: past roughly forty variables or a few
 thousand basis elements the computation aborts with a desk-scale error
@@ -43,10 +46,10 @@ def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     when the basis is a Groebner basis this is the canonical normal form
     and vanishes exactly on ideal members. Each step divides the largest
     remaining term by the first basis element whose leading monomial
-    divides it; the leading monomials are found once, then `_reduce`
-    does the division.
+    divides it. Each element is made monic once, which leaves every
+    division step and so the remainder unchanged; `_reduce` divides.
     """
-    return _reduce(f, [_divisor(g, leading_monomial(g, order))
+    return _reduce(f, [_monic(g, leading_monomial(g, order))
                        for g in basis if not g.is_zero()], order)
 
 
@@ -54,13 +57,15 @@ def _support(mono) -> int:
     return sum(1 << i for i, e in enumerate(mono) if e)
 
 
-def _divisor(g: Polynomial, lm) -> tuple:
-    """g with its leading monomial and that monomial's support bitmask."""
-    return g, lm, _support(lm)
+def _monic(g: Polynomial, lm) -> tuple:
+    """(g over its leading coefficient, its leading monomial lm, the
+    support bitmask of lm): the divisor triple that `_reduce` takes."""
+    lc = g.terms[lm]
+    return (g if lc == 1 else g.scale(QQ(1) / lc)), lm, _support(lm)
 
 
 def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
-    """The division loop: remainder of f by the `_divisor` triples, in order.
+    """The division loop: remainder of f by the monic `_monic` triples, in order.
 
     The working terms live in one dict, updated in place, and a heap on
     `order.heap_key` yields them largest first; a monomial's key is
@@ -85,12 +90,11 @@ def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
         else:
             rem[m] = work.pop(m)
             continue
-        # work -= q * x^diff * g; the term at m cancels exactly
+        # work -= c * x^diff * g; g is monic, so the term at m cancels exactly
         diff = tuple(map(sub, m, glm))
-        q = c / g.terms[glm]
         for gm, gc in g.terms.items():
             nm = tuple(map(add, gm, diff))
-            t = q * gc
+            t = c * gc
             old = work.get(nm)
             if old is None:
                 work[nm] = -t
@@ -103,16 +107,17 @@ def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
 
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    """S-polynomial of f and g; finds the leading monomials for `_spoly`."""
-    return _spoly(f, leading_monomial(f, order), g, leading_monomial(g, order))
+    """S-polynomial of f and g; makes both monic for `_spoly`."""
+    return _spoly(_monic(f, leading_monomial(f, order)),
+                  _monic(g, leading_monomial(g, order)))
 
 
-def _spoly(f: Polynomial, flm, g: Polynomial, glm) -> Polynomial:
-    """S-polynomial of f and g with leading monomials flm and glm."""
-    lcm = tuple(max(a, b) for a, b in zip(flm, glm))
-    fm = tuple(a - b for a, b in zip(lcm, flm))
-    gm = tuple(a - b for a, b in zip(lcm, glm))
-    return f.mul_monomial(fm, QQ(1) / f.terms[flm]) - g.mul_monomial(gm, QQ(1) / g.terms[glm])
+def _spoly(a, b) -> Polynomial:
+    """S-polynomial of the monic `_monic` triples a and b."""
+    (f, flm, _), (g, glm, _) = a, b
+    lcm = tuple(map(max, flm, glm))
+    return (f.mul_monomial(tuple(map(sub, lcm, flm)), 1)
+            - g.mul_monomial(tuple(map(sub, lcm, glm)), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +125,21 @@ def _spoly(f: Polynomial, flm, g: Polynomial, glm) -> Polynomial:
 
 @dataclass
 class IdealBasis:
-    generators: list
+    """A reduced Groebner basis as `_monic` triples, by decreasing lead."""
+
+    divisors: list
     order: TermOrder
-    reduced: bool
+
+    @property
+    def generators(self) -> list:
+        return [g for g, _, _ in self.divisors]
 
     @property
     def ring(self) -> Ring:
         return self.order.ring
 
     def to_json(self) -> dict:
-        return {"reduced": self.reduced,
+        return {"reduced": True,
                 "generators": [g.to_json_terms() for g in self.generators]}
 
 
@@ -141,22 +151,14 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
     is monic, auto reduced, and sorted by decreasing leading monomial.
     Pending pairs sit in a heap of (lcm key, pair) entries, which are
     unique, so pairs are taken in exactly smallest-key order; a set of
-    the pending pairs answers the chain criterion. Every reduction goes
-    through `_reduce` with the leading monomials kept here.
+    the pending pairs answers the chain criterion. Each element enters as
+    a `_monic` triple, kept as it is into the result.
     """
     ring = order.ring
     if ring.nvars > MAX_VARS:
         raise DeskScaleExceeded(f"{ring.nvars} variables exceeds the desk-scale cap {MAX_VARS}")
-    basis, lms = [], []
-    for f in gens:
-        if not f.is_zero():
-            lm = leading_monomial(f, order)
-            basis.append(f.scale(QQ(1) / f.terms[lm]))
-            lms.append(lm)
-    if not basis:
-        return IdealBasis([], order, True)
-
-    divisors = [_divisor(g, lm) for g, lm in zip(basis, lms)]
+    divisors = [_monic(f, leading_monomial(f, order)) for f in gens if not f.is_zero()]
+    lms = [lm for _, lm, _ in divisors]
 
     def lcm(a, b):
         return tuple(map(max, a, b))
@@ -165,7 +167,7 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
         # selection key of the pair, computed once when the pair is made
         return order.key(lcm(lms[i], lms[j])), (i, j)
 
-    queue = [entry(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    queue = [entry(i, j) for i in range(len(lms)) for j in range(i + 1, len(lms))]
     heapify(queue)
     pending = {pair for _, pair in queue}
 
@@ -186,36 +188,34 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
         if any(not divisors[k][2] & ~support and divides(lms[k], lij)
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
-               for k in range(len(basis)) if k not in (i, j)):
+               for k in range(len(lms)) if k not in (i, j)):
             continue
-        h = _reduce(_spoly(basis[i], lms[i], basis[j], lms[j]), divisors, order)
+        h = _reduce(_spoly(divisors[i], divisors[j]), divisors, order)
         if h.is_zero():
             continue
-        lm = leading_monomial(h, order)
-        h = h.scale(QQ(1) / h.terms[lm])
-        basis.append(h)
-        lms.append(lm)
-        divisors.append(_divisor(h, lm))
-        if len(basis) > MAX_BASIS:
+        divisors.append(_monic(h, leading_monomial(h, order)))
+        lms.append(divisors[-1][1])
+        if len(lms) > MAX_BASIS:
             raise DeskScaleExceeded(f"basis exceeded {MAX_BASIS} elements")
-        new = len(basis) - 1
+        new = len(lms) - 1
         for k in range(new):
             heappush(queue, entry(k, new))
             pending.add((k, new))
 
     # minimalize: drop elements whose lead is divisible by another lead
-    keep = [divisors[i] for i in range(len(basis))
+    keep = [divisors[i] for i in range(len(lms))
             if not any(k != i and divides(lms[k], lms[i])
-                       and (lms[k] != lms[i] or k < i) for k in range(len(basis)))]
+                       and (lms[k] != lms[i] or k < i) for k in range(len(lms)))]
     # tail-reduce each element against the others, by decreasing lead; no
-    # other kept lead divides an element's monic lead term, so it stays
+    # other kept lead divides an element's monic lead term, so it stays,
+    # and with it the element's lead and mask
     keep.sort(key=lambda d: order.key(d[1]), reverse=True)
-    reduced = [_reduce(g, keep[:i] + keep[i + 1:], order) for i, (g, _, _) in enumerate(keep)]
-    return IdealBasis(reduced, order, True)
+    return IdealBasis([(_reduce(g, keep[:i] + keep[i + 1:], order), lm, mask)
+                       for i, (g, lm, mask) in enumerate(keep)], order)
 
 
 def ideal_member(f: Polynomial, basis: IdealBasis) -> bool:
-    return normal_form(f, basis.generators, basis.order).is_zero()
+    return _reduce(f, basis.divisors, basis.order).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -252,25 +252,25 @@ def minimalize(monos) -> list:
 def initial_ideal(basis: IdealBasis) -> MonomialIdeal:
     """Monomial ideal of the basis leading terms (a Groebner basis gives
     the true initial ideal)."""
-    lms = [leading_monomial(g, basis.order) for g in basis.generators if not g.is_zero()]
-    return MonomialIdeal(tuple(minimalize(lms)), basis.ring.nvars)
+    return MonomialIdeal(tuple(minimalize(lm for _, lm, _ in basis.divisors)),
+                         basis.ring.nvars)
 
 
-def monomial_dim(mi: MonomialIdeal, num_vars: int) -> int:
-    """Krull dimension of the quotient: num_vars minus the least number of
+def monomial_dim(mi: MonomialIdeal) -> int:
+    """Krull dimension of the quotient: mi.nvars minus the least number of
     variables covering every generator support. The unit ideal reports -1."""
     if mi.is_unit:
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in mi.gens]
     if not supports:
-        return num_vars
+        return mi.nvars
     universe = sorted(set().union(*supports))
     for size in range(0, len(universe) + 1):
         for cover in combinations(universe, size):
             cset = set(cover)
             if all(s & cset for s in supports):
-                return num_vars - size
-    return num_vars - len(universe)
+                return mi.nvars - size
+    return mi.nvars - len(universe)
 
 
 def hilbert_numerator(mi: MonomialIdeal) -> list:
@@ -323,7 +323,7 @@ def hilbert_numerator(mi: MonomialIdeal) -> list:
     return rec(list(mi.gens))
 
 
-def monomial_multiplicity(mi: MonomialIdeal, num_vars: int) -> int:
+def monomial_multiplicity(mi: MonomialIdeal) -> int:
     """Multiplicity of the quotient from the Hilbert numerator at t = 1.
 
     The numerator is divided by (1-t) once per unit of height; each
@@ -335,7 +335,7 @@ def monomial_multiplicity(mi: MonomialIdeal, num_vars: int) -> int:
     if mi.is_zero:
         return 1
     num = hilbert_numerator(mi)
-    height = num_vars - monomial_dim(mi, num_vars)
+    height = mi.nvars - monomial_dim(mi)
     for _ in range(height):
         if sum(num) != 0:
             raise ArithmeticError("Hilbert numerator not divisible by (1-t)")
@@ -376,12 +376,9 @@ def ideal_intersection(gens_i, gens_j, order: TermOrder) -> IdealBasis:
 
     lifted = [lift(f, True) for f in gens_i] + [lift(f, False) for f in gens_j]
     gb = buchberger(lifted, elim)
-    kept = []
-    for g in gb.generators:
-        if all(m[0] == 0 for m in g.terms):
-            kept.append(Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}))
-    result = buchberger(kept, order)
-    return result
+    kept = [Polynomial(ring, {m[1:]: c for m, c in g.terms.items()})
+            for g in gb.generators if all(m[0] == 0 for m in g.terms)]
+    return buchberger(kept, order)
 
 
 def ci_multiplicity(degrees) -> int:

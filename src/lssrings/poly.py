@@ -120,8 +120,6 @@ class Polynomial:
         return max((sum(m) for m in self.terms), default=0)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.one().scale(QQ(other))
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, ZERO) + c
@@ -138,8 +136,6 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(QQ(other))
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():

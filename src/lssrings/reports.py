@@ -299,17 +299,18 @@ def verify_path_suite(n: int) -> SectionSuite:
         ] + f_i
         gb_p = buchberger(p_gens, order)
         gb_q = buchberger(q_gens, order)
+        e = {}
         for label, gb in (("P", gb_p), ("Q", gb_q)):
             member_all = all(ideal_member(f, gb) for f in gens.values())
             checks.append(SuiteCheck(f"L subset {label}_{i}", member_all))
             checks.append(SuiteCheck(f"x in {label}_{i}", ideal_member(x, gb)))
             mi = initial_ideal(gb)
-            dim = monomial_dim(mi, ring.nvars)
+            dim = monomial_dim(mi)
             checks.append(SuiteCheck(
                 f"dim S/{label}_{i} = {3 * n - n}", dim == 3 * n - n,
                 f"got {dim}"))
-        e_p = monomial_multiplicity(initial_ideal(gb_p), ring.nvars)
-        e_q = monomial_multiplicity(initial_ideal(gb_q), ring.nvars)
+            e[label] = monomial_multiplicity(mi)
+        e_p, e_q = e["P"], e["Q"]
         checks.append(SuiteCheck(f"e(R/P_{i}) = {2 ** (n - 3)}",
                                  e_p == 2 ** (n - 3), f"got {e_p}"))
         checks.append(SuiteCheck(f"e(R/Q_{i}) = {3 * 2 ** (n - 3)}",
@@ -317,7 +318,7 @@ def verify_path_suite(n: int) -> SectionSuite:
         e_sum += e_p + e_q
 
     gb_lx = buchberger(list(gens.values()) + [x], order)
-    e_x = monomial_multiplicity(initial_ideal(gb_lx), ring.nvars)
+    e_x = monomial_multiplicity(initial_ideal(gb_lx))
     expect = (n - 2) * 2 ** (n - 1)
     checks.append(SuiteCheck(f"e(R/(x)) = {expect}", e_x == expect, f"got {e_x}"))
     cross = ci_multiplicity([2] * (n - 1)) * (n - 2)

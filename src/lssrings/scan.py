@@ -115,12 +115,15 @@ def _error_row(gid: str, status: str) -> ScanRow:
     return ScanRow(**{**blank, "id": gid, "status": status, "ms": 0.0})
 
 
-def _scan_one(args) -> ScanRow:
-    line, node_budget, time_budget, stable_ms = args
+def _scan_one(args) -> ScanRow | None:
+    """One corpus line's row; None for a graph over max_n vertices."""
+    line, node_budget, time_budget, stable_ms, max_n = args
     try:
         g = parse_graph6(line)
     except GraphFormatError as exc:
         return _error_row(line, f"parse_error: {exc}")
+    if max_n is not None and g.n > max_n:
+        return None
     gid = encode_graph6(g)
     try:
         return scan_graph(g, gid, node_budget, time_budget, stable_ms)
@@ -139,21 +142,14 @@ def iter_corpus_lines(text: str):
 def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
                 max_n: int | None = None,
                 stable_ms: bool = False) -> tuple[list[ScanRow], ScanSummary]:
-    """Scan graph6 lines; returns (rows, summary). Parse failures and
-    solver exceptions become per-line error rows and the scan continues.
-    An invalid node budget, given or from LSS_BUDGET_NODES, raises
-    ValueError before any graph runs."""
+    """Scan graph6 lines; returns (rows, summary) in input order. Parse
+    failures and solver exceptions become per-line error rows and the
+    scan continues; graphs over max_n vertices yield no row. Each line is
+    parsed once, by the worker. An invalid node budget, given or from
+    LSS_BUDGET_NODES, raises ValueError before any graph runs."""
     node_budget = check_node_budget(default_node_budget() if node_budget is None
                                     else node_budget)
-    work = []
-    for line in lines:
-        if max_n is not None:
-            try:
-                if parse_graph6(line).n > max_n:
-                    continue
-            except GraphFormatError:
-                pass
-        work.append((line, node_budget, time_budget, stable_ms))
+    work = [(line, node_budget, time_budget, stable_ms, max_n) for line in lines]
     if jobs > 1 and len(work) > 1:
         import multiprocessing
 
@@ -161,6 +157,7 @@ def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
             rows = pool.map(_scan_one, work)
     else:
         rows = [_scan_one(w) for w in work]
+    rows = [r for r in rows if r is not None]
     return rows, summarize(rows)
 
 

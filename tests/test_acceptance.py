@@ -133,8 +133,8 @@ def test_criterion_07_dimension_and_multiplicity():
         assert len(ini) == 1
         lts.append(next(iter(ini.terms)))
     mi = MonomialIdeal(tuple(minimalize(lts)), ring.nvars)
-    dim = monomial_dim(mi, ring.nvars)
-    mult = monomial_multiplicity(mi, ring.nvars)
+    dim = monomial_dim(mi)
+    mult = monomial_multiplicity(mi)
     assert dim == 9 and mult == 8
     # Herzog-type ideal: multiplicity 3
     r = ring_for(3, 2)
@@ -143,7 +143,7 @@ def test_criterion_07_dimension_and_multiplicity():
               y(3, 1) * y(2, 1) + y(3, 2) * y(2, 2),
               y(1, 1) * y(3, 2) - y(1, 2) * y(3, 1)]
     gb = buchberger(herzog, TermOrder.grevlex(r))
-    e = monomial_multiplicity(initial_ideal(gb), r.nvars)
+    e = monomial_multiplicity(initial_ideal(gb))
     assert e == 3
     print("PASS criterion 7: path initial ideal has dim 9 and multiplicity 8; "
           "Herzog-type ideal has multiplicity 3")

@@ -251,13 +251,13 @@ def test_lp_certificate_recheck_raises(monkeypatch):
 
 def test_hilbert_checks_raise(monkeypatch):
     mi = groebner.MonomialIdeal(((1, 0),), 2)       # (y1): height 1
-    assert groebner.monomial_multiplicity(mi, 2) == 1
+    assert groebner.monomial_multiplicity(mi) == 1
     monkeypatch.setattr(groebner, "hilbert_numerator", lambda mi: [1, 1])
     with pytest.raises(ArithmeticError, match="not divisible"):
-        groebner.monomial_multiplicity(mi, 2)
+        groebner.monomial_multiplicity(mi)
     monkeypatch.setattr(groebner, "hilbert_numerator", lambda mi: [1, -2, 1])
     with pytest.raises(ArithmeticError, match="must be positive"):
-        groebner.monomial_multiplicity(mi, 2)
+        groebner.monomial_multiplicity(mi)
 
 
 def test_solve_is_verified_under_optimize_flag():

@@ -141,6 +141,19 @@ def test_families_canonical_labels():
         family("petersen")
 
 
+def test_family_refuses_non_integer_and_negative_parameters():
+    """Every parameter is checked, as an int or as the string a spec
+    gives, and the error names the family."""
+    assert family("star", "3") == family("star", 3) == star(3)
+    assert family("complete_bipartite", "2", " 3") == family("complete_bipartite", 2, 3)
+    for kind, params in (("star", ("x",)), ("star", ("-1",)), ("star", (-1,)),
+                         ("path", ("-3",)), ("star", ("3.5",)), ("star", (3.5,)),
+                         ("complete_bipartite", ("-1", "3")),
+                         ("complete_bipartite", (2, "")), ("complete", (None,))):
+        with pytest.raises(GraphFormatError, match=f"family '{kind}': parameter "):
+            family(kind, *params)
+
+
 def test_delete_vertex_and_induced():
     s = star(4)
     smaller = delete_vertex(s, 1)         # drop a leaf

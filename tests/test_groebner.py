@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lssrings.graphs import complete, parse_edge_list, path, star
+from lssrings.graphs import (complete, complete_bipartite, cycle,
+                             parse_edge_list, path, star)
 from lssrings.groebner import (DeskScaleExceeded, MonomialIdeal, buchberger,
                                ci_multiplicity, ideal_intersection,
                                ideal_member, initial_ideal, minimalize,
@@ -12,8 +13,8 @@ from lssrings.groebner import (DeskScaleExceeded, MonomialIdeal, buchberger,
                                normal_form, spoly)
 from lssrings.pmd import pmd
 from lssrings.poly import (Polynomial, Ring, TermOrder, initial_form,
-                           lss_generators, matrix_D, ring_for, weight_from_pmd,
-                           yvar)
+                           leading_monomial, lss_generators, matrix_D, ring_for,
+                           weight_from_pmd, yvar)
 from lssrings.rationals import QQ
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
@@ -55,9 +56,10 @@ def test_buchberger_principal_and_k2():
     order = TermOrder.grevlex(r)
     f = (yvar(r, 1, 1) * yvar(r, 2, 1)).scale(QQ(3)) + yvar(r, 1, 2) * yvar(r, 2, 2)
     gb = buchberger([f], order)
-    assert len(gb.generators) == 1 and gb.reduced
+    assert len(gb.generators) == 1 and gb.to_json()["reduced"] is True
     lead = gb.generators[0]
     assert lead == f.scale(QQ(1, 3))        # monic normalization
+    assert gb.divisors[0][1] == leading_monomial(f, order)
     k2 = buchberger([x for _, x in lss_generators(parse_edge_list("2\n1 2"), 2, r)], order)
     assert len(k2.generators) == 1
 
@@ -66,8 +68,8 @@ def test_buchberger_herzog_ideal_multiplicity_three():
     r = ring_for(3, 2)
     gb = buchberger(_herzog_ideal(r), TermOrder.grevlex(r))
     mi = initial_ideal(gb)
-    assert monomial_dim(mi, r.nvars) == 4
-    assert monomial_multiplicity(mi, r.nvars) == 3
+    assert monomial_dim(mi) == 4
+    assert monomial_multiplicity(mi) == 3
 
 
 def test_spolys_of_basis_reduce_to_zero():
@@ -133,8 +135,8 @@ def test_initial_ideal_coprime_quadrics_all_n4(all_n5):
             assert all(sum(m) == 2 and max(m) == 1 for m in mi.gens)
             from lssrings.poly import pairwise_coprime_squarefree
             assert pairwise_coprime_squarefree(mi.gens)
-            assert monomial_dim(mi, ring.nvars) == g.n * d - g.m
-            assert monomial_multiplicity(mi, ring.nvars) == 2 ** g.m
+            assert monomial_dim(mi) == g.n * d - g.m
+            assert monomial_multiplicity(mi) == 2 ** g.m
 
 
 def test_initial_ideal_under_pmd_weights_needs_no_reduction():
@@ -153,6 +155,74 @@ def test_initial_ideal_under_pmd_weights_needs_no_reduction():
         assert sorted(next(iter(p.terms)) for p in monos) == sorted(mi.gens)
 
 
+def _bases_under_three_kinds_of_order():
+    """(kind, basis, order) under grevlex, a weight_from_pmd order and an
+    elimination order, on LSS ideals and the Herzog ideal."""
+    for g, d in ((complete(4), 3), (cycle(5), 3), (complete_bipartite(2, 3), 3),
+                 (EXAMPLE, 3), (path(5), 3)):
+        ring = ring_for(g.n, d)
+        gens = [f for _, f in lss_generators(g, d, ring)]
+        orders = [("grevlex", TermOrder.grevlex(ring)),
+                  ("elimination", TermOrder.elimination(ring, ("y", 1, 1)))]
+        res = pmd(g)
+        if d >= res.value:
+            orders.append(("pmd", weight_from_pmd(res.decomposition, ring)))
+        for kind, order in orders:
+            yield kind, buchberger(gens, order), order
+    r = ring_for(3, 2)
+    for kind, order in (("grevlex", TermOrder.grevlex(r)),
+                        ("elimination", TermOrder.elimination(r, ("y", 2, 1)))):
+        yield kind, buchberger(_herzog_ideal(r), order), order
+
+
+def test_held_leads_are_the_leading_monomials():
+    """Each basis element carries its own lead and support mask, and is
+    monic there; the initial ideal read from the held leads is the one
+    recomputed from the generators."""
+    kinds = set()
+    for kind, gb, order in _bases_under_three_kinds_of_order():
+        kinds.add(kind)
+        for g, lm, mask in gb.divisors:
+            assert lm == leading_monomial(g, order) and g.terms[lm] == 1
+            assert mask == sum(1 << i for i, e in enumerate(lm) if e)
+        recomputed = MonomialIdeal(
+            tuple(minimalize([leading_monomial(g, order) for g in gb.generators])),
+            gb.ring.nvars)
+        assert initial_ideal(gb) == recomputed
+    assert kinds == {"grevlex", "pmd", "elimination"}
+
+
+def test_membership_and_initial_ideal_read_the_held_leads(monkeypatch):
+    import lssrings.groebner as groebner
+    r = ring_for(3, 2)
+    order = TermOrder.grevlex(r)
+    gens = _herzog_ideal(r)
+    gb = buchberger(gens, order)
+    expect = initial_ideal(gb)
+
+    def refuse(*_):
+        raise AssertionError("leading monomial recomputed")
+    monkeypatch.setattr(groebner, "leading_monomial", refuse)
+    assert all(ideal_member(f, gb) for f in gens)
+    assert not ideal_member(r.one(), gb)
+    assert initial_ideal(gb) == expect
+
+
+def test_spoly_normalises_non_monic_arguments():
+    """spoly(f, g) = (lcm / lt(f)) f - (lcm / lt(g)) g for any nonzero f, g,
+    with lt the leading term, coefficient included."""
+    r = ring_for(3, 2)
+    order = TermOrder.grevlex(r)
+    f, g, _ = _herzog_ideal(r)
+    for a, b in ((QQ(3), QQ(-2, 5)), (QQ(1), QQ(7)), (QQ(-1, 4), QQ(1))):
+        fs, gs = f.scale(a), g.scale(b)
+        flm, glm = leading_monomial(fs, order), leading_monomial(gs, order)
+        lcm = tuple(map(max, flm, glm))
+        ref = (fs.mul_monomial(tuple(x - y for x, y in zip(lcm, flm)), 1 / fs.terms[flm])
+               - gs.mul_monomial(tuple(x - y for x, y in zip(lcm, glm)), 1 / gs.terms[glm]))
+        assert spoly(fs, gs, order) == ref == spoly(f, g, order)
+
+
 def test_initial_ideal_trivial_cases():
     r = ring_for(2, 2)
     order = TermOrder.grevlex(r)
@@ -166,18 +236,18 @@ def test_initial_ideal_trivial_cases():
 
 def test_monomial_dim_cases():
     two = MonomialIdeal(((1, 1),), 2)           # (y1*y2) in 2 variables
-    assert monomial_dim(two, 2) == 1
+    assert monomial_dim(two) == 1
     unit = MonomialIdeal(((0, 0),), 2)
-    assert monomial_dim(unit, 2) == -1
-    assert monomial_multiplicity(unit, 2) == 0
+    assert monomial_dim(unit) == -1
+    assert monomial_multiplicity(unit) == 0
     zero = MonomialIdeal((), 3)
-    assert monomial_dim(zero, 3) == 3
-    assert monomial_multiplicity(zero, 3) == 1
+    assert monomial_dim(zero) == 3
+    assert monomial_multiplicity(zero) == 1
 
 
 def test_monomial_multiplicity_cases():
     quad = MonomialIdeal(((1, 1, 0),), 3)
-    assert monomial_multiplicity(quad, 3) == 2
+    assert monomial_multiplicity(quad) == 2
     # three pairwise-coprime quadrics in 12 variables: 2^3
     gens = []
     for k in range(3):
@@ -185,8 +255,8 @@ def test_monomial_multiplicity_cases():
         m[4 * k] = m[4 * k + 1] = 1
         gens.append(tuple(m))
     mi = MonomialIdeal(tuple(minimalize(gens)), 12)
-    assert monomial_dim(mi, 12) == 9
-    assert monomial_multiplicity(mi, 12) == 8
+    assert monomial_dim(mi) == 9
+    assert monomial_multiplicity(mi) == 8
 
 
 def test_ideal_intersection_basics():
@@ -484,7 +554,7 @@ def test_complete_graph_ring_pins(n, d, size, dim):
     gb = buchberger([f for _, f in lss_generators(complete(n), d, ring)],
                     TermOrder.grevlex(ring))
     assert len(gb.generators) == size
-    assert monomial_dim(initial_ideal(gb), ring.nvars) == dim
+    assert monomial_dim(initial_ideal(gb)) == dim
 
 
 def test_basis_size_guard(monkeypatch):

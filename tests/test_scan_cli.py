@@ -216,6 +216,15 @@ def test_cli_verify_star_path_d_example(capsys):
     assert cli_main(["verify", "path", "--n", "4"]) == 0
 
 
+def test_cli_verify_n_applies_to_star_and_path_only(capsys):
+    for target in ("D", "example"):
+        assert cli_main(["verify", target, "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == ("error: --n applies to star and path only, "
+                                f"not {target}\n")
+
+
 def test_cli_verify_n_zero_trips_the_desk_scale_guard(capsys):
     """--n 0 is an explicit size, not a missing one: no default suite runs."""
     assert cli_main(["verify", "path", "--n", "0"]) == 2
@@ -294,6 +303,38 @@ def test_cli_graph_files_skip_comments_and_report_physical_lines(tmp_path, capsy
     edges.write_text("# only a comment\n\n", encoding="utf-8")
     assert cli_main(["invariants", str(edges)]) == 1
     assert capsys.readouterr().err == f"error: {edges}: empty graph file\n"
+
+
+def test_cli_family_specs_name_the_family_on_bad_parameters(capsys):
+    for spec, bad in (("star:x", "'x'"), ("star:-1", "'-1'"), ("path:-3", "'-3'"),
+                      ("complete_bipartite:-1,3", "'-1'")):
+        assert cli_main(["pmd", spec]) == 1, spec
+        captured = capsys.readouterr()
+        kind = spec.partition(":")[0]
+        assert not captured.out
+        assert captured.err == (f"error: family '{kind}': parameter {bad} "
+                                "is not a nonnegative integer\n")
+    assert cli_main(["pmd", "complete_bipartite:2,3"]) == 0
+    assert capsys.readouterr().out.startswith("pmd = 4 (exact)")
+
+
+def test_scan_max_n_parses_each_line_once(monkeypatch):
+    """Oversized graphs yield no row, parse errors stay rows in input
+    order, and each line goes through the parser exactly once."""
+    parsed = []
+
+    def counting_parse(line):
+        parsed.append(line)
+        return parse_graph6(line)
+    monkeypatch.setattr(scan, "parse_graph6", counting_parse)
+    lines = ["A_", "E~~w", "not graph6!", "Bw", "C~"]
+    rows, summary = scan_corpus(lines, max_n=4, stable_ms=True)
+    assert parsed == lines
+    assert [r.id for r in rows] == ["A_", "not graph6!", "Bw", "C~"]
+    assert rows[1].status.startswith("parse_error")
+    assert summary.total == 4 and summary.parse_errors == 1
+    assert rows_to_csv(scan_corpus(lines, max_n=4, stable_ms=True, jobs=2)[0]) \
+        == rows_to_csv(rows)
 
 
 def test_cli_trees_n_and_scan_max_n_reject_values_below_one(tmp_path, capsys):
