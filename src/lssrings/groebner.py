@@ -12,6 +12,12 @@ selection strategy (normal: smallest lcm key first) and the coprime and
 chain criteria are the textbook ones; the heaps only avoid rescanning
 the pairs and the working polynomial at each step.
 
+Coefficients are ints unless they are not integral (see `lssrings.poly`).
+The LSS generators have coefficient 1, so the division loop and the
+S-polynomials run on int arithmetic; a `Fraction` enters only where
+`_monic` divides by a leading coefficient other than 1 or -1, and the
+same code then carries it.
+
 Sizes are deliberately capped: past roughly forty variables or a few
 thousand basis elements the computation aborts with a desk-scale error
 instead of thrashing.
@@ -113,11 +119,22 @@ def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
 
 
 def _spoly(a, b) -> Polynomial:
-    """S-polynomial of the monic `_monic` triples a and b."""
+    """S-polynomial of the monic `_monic` triples a and b: f shifted up to
+    the lcm of the leads, minus g shifted there, subtracted in place."""
     (f, flm, _), (g, glm, _) = a, b
     lcm = tuple(map(max, flm, glm))
-    return (f.mul_monomial(tuple(map(sub, lcm, flm)), 1)
-            - g.mul_monomial(tuple(map(sub, lcm, glm)), 1))
+    fshift, gshift = tuple(map(sub, lcm, flm)), tuple(map(sub, lcm, glm))
+    out = {tuple(map(add, m, fshift)): c for m, c in f.terms.items()}
+    for m, c in g.terms.items():
+        nm = tuple(map(add, m, gshift))
+        old = out.get(nm)
+        if old is None:
+            out[nm] = -c
+        elif old == c:
+            del out[nm]
+        else:
+            out[nm] = old - c
+    return Polynomial(f.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +388,7 @@ def ideal_intersection(gens_i, gens_j, order: TermOrder) -> IdealBasis:
             return Polynomial(ext, tshift)
         out = dict(base)
         for m, c in tshift.items():
-            out[m] = out.get(m, QQ(0)) - c
+            out[m] = out.get(m, 0) - c
         return Polynomial(ext, out)
 
     lifted = [lift(f, True) for f in gens_i] + [lift(f, False) for f in gens_j]

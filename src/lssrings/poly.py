@@ -1,21 +1,28 @@
 """Sparse multivariate polynomials over exact rationals in y[v,c] variables.
 
+A coefficient is a plain ``int`` when it is integral and a
+``fractions.Fraction`` (``QQ``) only otherwise. The sources (variables,
+the unit, edge quadrics, determinants) build ints, Python keeps
+int-by-int arithmetic in ``int``, and ``Polynomial.scale``, the one
+place that divides, turns every integral result back into an ``int``;
+so one code path serves both kinds, with no type test.
+
 A Ring fixes the variable order (vertex-major, column-minor, so y[1,1]
 is the most significant variable); monomials are dense exponent tuples
 over that order. Term comparison is an integer weight vector refined by
 graded reverse lexicographic order, which is also how elimination
 orders are expressed (weight 1 on the variable to eliminate). Weights
-are integers throughout; ``weight_from_pmd`` builds them straight from
+are integers >= 0 throughout; ``weight_from_pmd`` builds them straight from
 the integer stage certificates of a decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul, neg
 
 from .graphs import Graph
-from .rationals import QQ, ZERO, rat_str
+from .rationals import QQ, rat_str
 
 
 class Ring:
@@ -33,10 +40,10 @@ class Ring:
     def var(self, token) -> "Polynomial":
         expo = [0] * self.nvars
         expo[self.index[token]] = 1
-        return Polynomial(self, {tuple(expo): QQ(1)})
+        return Polynomial(self, {tuple(expo): 1})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.nvars: QQ(1)})
+        return Polynomial(self, {(0,) * self.nvars: 1})
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -69,7 +76,7 @@ def yvar(ring: Ring, v: int, c: int) -> "Polynomial":
 
 
 def grevlex_key(mono):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,14 @@ class TermOrder:
 
     ring: Ring
     weights: tuple[int, ...]
+
+    def __post_init__(self):
+        # a negative weight ranks some monomial below 1, which is not a
+        # well-order, so division need not terminate
+        if len(self.weights) != self.ring.nvars:
+            raise ValueError(f"need {self.ring.nvars} weights, got {len(self.weights)}")
+        if not all(isinstance(w, int) and w >= 0 for w in self.weights):
+            raise ValueError(f"weights must be ints >= 0, got {self.weights}")
 
     @staticmethod
     def grevlex(ring: Ring) -> "TermOrder":
@@ -102,7 +117,7 @@ class TermOrder:
 
 
 class Polynomial:
-    """Immutable-by-convention map monomial -> nonzero rational coefficient."""
+    """Immutable-by-convention map monomial -> nonzero coefficient (int or QQ)."""
 
     __slots__ = ("ring", "terms")
 
@@ -122,7 +137,7 @@ class Polynomial:
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, ZERO) + c
+            s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
@@ -139,8 +154,8 @@ class Polynomial:
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, ZERO) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                s = out.get(m, 0) + c1 * c2
                 if s == 0:
                     out.pop(m, None)
                 else:
@@ -154,12 +169,17 @@ class Polynomial:
         return out
 
     def scale(self, q) -> "Polynomial":
+        """Every coefficient times q, exactly; integral products become ints."""
         q = QQ(q)
-        return Polynomial(self.ring, {m: c * q for m, c in self.terms.items()})
+        out = {}
+        for m, c in self.terms.items():
+            x = c * q
+            out[m] = x.numerator if x.denominator == 1 else x
+        return Polynomial(self.ring, out)
 
     def mul_monomial(self, mono, coeff) -> "Polynomial":
         return Polynomial(self.ring, {
-            tuple(a + b for a, b in zip(m, mono)): c * coeff for m, c in self.terms.items()
+            tuple(map(add, m, mono)): c * coeff for m, c in self.terms.items()
         })
 
     def __eq__(self, other):
@@ -252,7 +272,7 @@ def lss_generators(g: Graph, d: int, ring: Ring | None = None):
             expo = [0] * ring.nvars
             expo[ring.index[("y", i, c)]] += 1
             expo[ring.index[("y", j, c)]] += 1
-            terms[tuple(expo)] = QQ(1)
+            terms[tuple(expo)] = 1
         out.append(((i, j), Polynomial(ring, terms)))
     return out
 
@@ -261,8 +281,9 @@ def weight_from_pmd(dec, ring: Ring) -> TermOrder:
     """Integer weights making the column-l quadric term lead for every part-l edge.
 
     With p parts, integer stage certificates w_l and B exceeding every
-    |edge sum|, y[v,l] weighs B^p + w_l(v)*B^(p-l) for l <= p; columns
-    past the part count and vertices off the decomposition weigh 0. For
+    |edge sum| and every |w_l(v)|, y[v,l] weighs B^p + w_l(v)*B^(p-l)
+    for l <= p, which is above B^p - B^(p-l+1) >= 0; columns past the
+    part count and vertices off the decomposition weigh 0. For
     an edge {i,j} of the l-th part, the column-c term weighs
     2*B^p + (w_c(i) + w_c(j))*B^(p-c). The edge sum is >= 1 at c = l, so
     that column weighs at least 2*B^p + B^(p-l); it is <= -1 at earlier
@@ -277,7 +298,8 @@ def weight_from_pmd(dec, ring: Ring) -> TermOrder:
     certs = [cert.as_map() for cert in dec.certificates]
     edges = [e for part in dec.parts for e in part]
     vertices = {v for w in certs for v in w} | {v for e in edges for v in e}
-    big = 1 + max([1] + [abs(w.get(i, 0) + w.get(j, 0)) for w in certs for (i, j) in edges])
+    big = 1 + max([1] + [abs(w.get(i, 0) + w.get(j, 0)) for w in certs for (i, j) in edges]
+                  + [abs(x) for w in certs for x in w.values()])
     return TermOrder(ring, tuple(
         big ** p + certs[l - 1].get(v, 0) * big ** (p - l)
         if l <= p and v in vertices else 0

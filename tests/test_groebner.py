@@ -1,6 +1,8 @@
 """Buchberger engine, normal forms, monomial invariants, intersections."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from lssrings.poly import (Polynomial, Ring, TermOrder, initial_form,
                            leading_monomial, lss_generators, matrix_D, ring_for,
                            weight_from_pmd, yvar)
 from lssrings.rationals import QQ
+from lssrings.reports import verify_D_nonzero
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
 
@@ -218,8 +221,8 @@ def test_spoly_normalises_non_monic_arguments():
         fs, gs = f.scale(a), g.scale(b)
         flm, glm = leading_monomial(fs, order), leading_monomial(gs, order)
         lcm = tuple(map(max, flm, glm))
-        ref = (fs.mul_monomial(tuple(x - y for x, y in zip(lcm, flm)), 1 / fs.terms[flm])
-               - gs.mul_monomial(tuple(x - y for x, y in zip(lcm, glm)), 1 / gs.terms[glm]))
+        ref = (fs.mul_monomial(tuple(x - y for x, y in zip(lcm, flm)), QQ(1) / fs.terms[flm])
+               - gs.mul_monomial(tuple(x - y for x, y in zip(lcm, glm)), QQ(1) / gs.terms[glm]))
         assert spoly(fs, gs, order) == ref == spoly(f, g, order)
 
 
@@ -469,7 +472,7 @@ def _reference_normal_form(f, basis, order):
         for g, glm in divisors:
             diff = tuple(a - b for a, b in zip(m, glm))
             if all(e >= 0 for e in diff):
-                work = work - g.mul_monomial(diff, c / g.terms[glm])
+                work = work - g.mul_monomial(diff, QQ(c) / g.terms[glm])
                 break
         else:
             rem[m] = c
@@ -546,15 +549,78 @@ def test_reduced_basis_under_weighted_and_elimination_orders():
                                    for m in h.terms for k in range(len(basis)))
 
 
+def _basis_digest(gens) -> str:
+    """SHA-256 of the sorted per-generator (monomial, numerator,
+    denominator) rows: the values of a basis, not its representation."""
+    rows = sorted(tuple(sorted((m, c.numerator, c.denominator) for m, c in g.terms.items()))
+                  for g in gens)
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _canonical_coefficients(polys) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for f in polys for c in f.terms.values())
+
+
+def _grevlex_basis(g, d):
+    ring = ring_for(g.n, d)
+    return buchberger([f for _, f in lss_generators(g, d, ring)], TermOrder.grevlex(ring))
+
+
+# `_basis_digest` of the grevlex bases of K_n at d, as Fraction-only
+# arithmetic computed them
+BASIS_DIGESTS = {
+    (4, 5): "7ae824f0e7c9a86026a9b77e992e85b425f49d11a53456cbb2964a8d3d86ad6a",
+    (5, 3): "94e51ad3ad00f108af3041cafdf715817e5f844983a24f293e75e74919b885dd",
+}
+
+
 @pytest.mark.parametrize("n, d, size, dim", [(4, 5, 37, 14), (5, 3, 135, 7)])
 def test_complete_graph_ring_pins(n, d, size, dim):
     """K4 is a complete intersection at d = 5 (dim = nd - m); K5 is not
-    at d = 3 (dim 7, nd - m = 5)."""
-    ring = ring_for(n, d)
-    gb = buchberger([f for _, f in lss_generators(complete(n), d, ring)],
-                    TermOrder.grevlex(ring))
+    at d = 3 (dim 7, nd - m = 5). The bases are pinned by value, and
+    every coefficient of both is an int."""
+    gb = _grevlex_basis(complete(n), d)
     assert len(gb.generators) == size
     assert monomial_dim(initial_ideal(gb)) == dim
+    assert _basis_digest(gb.generators) == BASIS_DIGESTS[n, d]
+    assert all(type(c) is int for f in gb.generators for c in f.terms.values())
+
+
+def test_integer_data_keeps_int_coefficients():
+    """Edge quadrics and determinants have integer coefficients, and so do
+    the K4 basis at d = 3 and the normal forms behind `verify D`."""
+    gb = _grevlex_basis(complete(4), 3)
+    assert len(gb.generators) == 37
+    assert all(type(c) is int for f in gb.generators for c in f.terms.values())
+    for g, v, d in ((path(3), 3, 2), (star(2), 3, 2), (complete(4), 1, 3)):
+        ring = ring_for(g.n, d)
+        det = matrix_D(g, v, d, ring)
+        rem = normal_form(det, _grevlex_basis(g, d).generators, TermOrder.grevlex(ring))
+        assert verify_D_nonzero(g, v, d) and not rem.is_zero()
+        assert all(type(c) is int for f in (det, rem) for c in f.terms.values())
+
+
+@pytest.mark.parametrize("lead", [3, -2])
+def test_non_unit_leads_give_exact_fractions(lead):
+    """A leading coefficient other than +-1 makes Fractions, exactly the
+    ones sympy finds, and no integral Fraction is left behind."""
+    import sympy as sp
+    r = ring_for(3, 2)
+    y = lambda v, c: yvar(r, v, c)
+    gens = [(y(1, 1) * y(2, 1)).scale(lead) + y(1, 2) * y(2, 2),
+            (y(3, 1) * y(2, 1)).scale(lead + 1) + y(3, 2) * y(2, 2),
+            y(1, 1) * y(3, 2) - y(1, 2) * y(3, 1)]
+    order = TermOrder.grevlex(r)
+    gb = buchberger(gens, order)
+    assert _canonical_coefficients(gb.generators)
+    assert any(type(c) is Fraction for f in gb.generators for c in f.terms.values())
+    assert all(normal_form(f, gb.generators, order).is_zero() for f in gens)
+    syms = [sp.Symbol(f"y_{t[1]}_{t[2]}") for t in r.tokens]
+    ref = sp.groebner([_to_sympy(f, syms) for f in gens], *syms, order="grevlex")
+    theirs = [_from_sympy(e, r, syms) for e in ref.exprs]
+    assert _basis_digest(gb.generators) == _basis_digest(theirs)
 
 
 def test_basis_size_guard(monkeypatch):

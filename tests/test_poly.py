@@ -107,7 +107,8 @@ def test_weight_from_pmd_rejects_small_d():
 
 def _rational_weights(dec):
     """The rational construction the integer weights replace, as a reference:
-    1 + w_l(v)/B^l on y[v,l] for the certified and covered vertices, l <= p."""
+    1 + w_l(v)/B^l on y[v,l] for the certified and covered vertices, l <= p,
+    with B above every |edge sum| and every |w_l(v)|."""
     all_edges = [e for part in dec.parts for e in part]
     vertices = ({v for c in dec.certificates for v, _ in c.weights}
                 | {v for e in all_edges for v in e})
@@ -116,6 +117,7 @@ def _rational_weights(dec):
         w = cert.as_map()
         for (i, j) in all_edges:
             big = max(big, abs(w.get(i, 0) + w.get(j, 0)))
+        big = max([big] + [abs(x) for x in w.values()])
     big += 1
     weights = {}
     for l, cert in enumerate(dec.certificates, start=1):
@@ -127,7 +129,9 @@ def _rational_weights(dec):
 
 def test_integer_weights_are_the_rational_ones_times_b_to_the_p(connected_n6):
     """Entry for entry, the integer weights equal B^p times the rational
-    weights 1 + w_l(v)/B^l (0 on absent tokens), at d = pmd and pmd + 1."""
+    weights 1 + w_l(v)/B^l (0 on absent tokens), at d = pmd and pmd + 1.
+    TermOrder refuses a negative weight, which a B bounding only the edge
+    sums gave on two of these graphs (one is the path 5-1-2-3-4)."""
     checked = 0
     for g in connected_n6:
         if g.m == 0:
@@ -232,6 +236,19 @@ def test_term_order_axioms_random():
                     at = tuple(x + y for x, y in zip(a, ga))
                     bt = tuple(x + y for x, y in zip(b, ga))
                     assert order.key(at) < order.key(bt)
+
+
+def test_term_order_refuses_invalid_weights():
+    """One weight per variable, each an int >= 0: a short vector would be
+    truncated, and a negative weight ranks y[1,1]^2 below 1."""
+    r = ring_for(2, 2)
+    with pytest.raises(ValueError, match="need 4 weights, got 1"):
+        TermOrder(r, (1,))
+    with pytest.raises(ValueError, match="ints >= 0"):
+        TermOrder(r, (-1, 0, 0, 0))
+    with pytest.raises(ValueError, match="ints >= 0"):
+        TermOrder(r, (QQ(1, 2), 0, 0, 0))
+    assert TermOrder(r, (2, 0, 1, 0)).weight((1, 1, 1, 1)) == 3
 
 
 def test_initial_form_multiplicative():
