@@ -45,15 +45,19 @@ def load_graph(spec: str) -> Graph:
         return parse_graph6(first)
     if ":" in spec:
         kind, _, rest = spec.partition(":")
-        return family(kind, *(x for x in rest.split(",") if x))
+        return family(kind, *(rest.split(",") if rest else ()))
     return parse_graph6(spec)
 
 
 def cmd_invariants(args) -> int:
     g = load_graph(args.graph)
     k, order = degeneracy(g)
+    try:
+        g6 = encode_graph6(g)
+    except GraphFormatError:     # graph6 encodes only 1 <= n <= 62
+        g6 = None
     data = {
-        "graph6": encode_graph6(g), "n": g.n, "m": g.m,
+        "graph6": g6, "n": g.n, "m": g.m,
         "bipartite": is_bipartite(g), "delta": max_degree(g), "k": k,
         "alpha": alpha(g), "elimination_order": list(order),
     }

@@ -39,10 +39,9 @@ class GraphInvariants:
         return self.pmd_status == "exact" and self.pmd_value is not None
 
 
-def invariants_of(g: Graph, node_budget: int | None = None,
-                  time_budget: float | None = None) -> GraphInvariants:
+def invariants_of(g: Graph, node_budget: int | None = None) -> GraphInvariants:
     k, _ = degeneracy(g)
-    res = solve_pmd(g, node_budget=node_budget, time_budget=time_budget)
+    res = solve_pmd(g, node_budget=node_budget)
     return GraphInvariants(max_degree(g), k, res.value, res.status)
 
 

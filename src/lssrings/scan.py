@@ -1,12 +1,12 @@
 """Corpus scanning, tree enumeration, and the conjecture/theorem checks.
 
 A scan row records the invariants and bound checks for one graph; rows
-with an exhausted budget keep their upper bound but are excluded from
-violation accounting, so a timeout can never masquerade as a
-counterexample. A graph whose solve raises becomes a ``solver_error`` row
-and the scan goes on. Violations of the open inequality pmd <= alpha are
-findings, not errors; a forest with pmd != degree is a solver bug and is
-treated as a hard failure.
+whose search ran out of its node budget keep their upper bound but are
+excluded from violation accounting, so a stopped search can never
+masquerade as a counterexample. A graph whose solve raises becomes a
+``solver_error`` row and the scan goes on. Violations of the open
+inequality pmd <= alpha are findings, not errors; a forest with
+pmd != degree is a solver bug and is treated as a hard failure.
 """
 
 from __future__ import annotations
@@ -80,13 +80,12 @@ class ScanSummary:
         }
 
 
-def scan_graph(g: Graph, gid: str, node_budget=None, time_budget=None,
-               stable_ms: bool = False) -> ScanRow:
+def scan_graph(g: Graph, gid: str, node_budget=None, stable_ms: bool = False) -> ScanRow:
     t0 = time.monotonic()
     delta = max_degree(g)
     k, _ = degeneracy(g)
     a = delta + k - 1
-    res = solve_pmd(g, node_budget=node_budget, time_budget=time_budget)
+    res = solve_pmd(g, node_budget=node_budget)
     ms = 0.0 if stable_ms else (time.monotonic() - t0) * 1000
     bip = is_bipartite(g)
     exact = res.status == "exact"
@@ -117,7 +116,7 @@ def _error_row(gid: str, status: str) -> ScanRow:
 
 def _scan_one(args) -> ScanRow | None:
     """One corpus line's row; None for a graph over max_n vertices."""
-    line, node_budget, time_budget, stable_ms, max_n = args
+    line, node_budget, stable_ms, max_n = args
     try:
         g = parse_graph6(line)
     except GraphFormatError as exc:
@@ -126,7 +125,7 @@ def _scan_one(args) -> ScanRow | None:
         return None
     gid = encode_graph6(g)
     try:
-        return scan_graph(g, gid, node_budget, time_budget, stable_ms)
+        return scan_graph(g, gid, node_budget, stable_ms)
     except Exception as exc:  # one failing solve must not stop the corpus
         traceback.print_exc(file=sys.stderr)
         return _error_row(gid, f"solver_error: {type(exc).__name__}: {exc}")
@@ -139,7 +138,7 @@ def iter_corpus_lines(text: str):
             yield line
 
 
-def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
+def scan_corpus(lines, node_budget=None, jobs: int = 1,
                 max_n: int | None = None,
                 stable_ms: bool = False) -> tuple[list[ScanRow], ScanSummary]:
     """Scan graph6 lines; returns (rows, summary) in input order. Parse
@@ -149,7 +148,7 @@ def scan_corpus(lines, node_budget=None, time_budget=None, jobs: int = 1,
     LSS_BUDGET_NODES, raises ValueError before any graph runs."""
     node_budget = check_node_budget(default_node_budget() if node_budget is None
                                     else node_budget)
-    work = [(line, node_budget, time_budget, stable_ms, max_n) for line in lines]
+    work = [(line, node_budget, stable_ms, max_n) for line in lines]
     if jobs > 1 and len(work) > 1:
         import multiprocessing
 
@@ -227,7 +226,7 @@ def enumerate_trees(n: int):
         yield pruefer_decode(n, seq)
 
 
-def check_forest_pmd(n_max: int, node_budget=None, time_budget=None) -> dict:
+def check_forest_pmd(n_max: int, node_budget=None) -> dict:
     """Assert pmd = degree on every labeled tree up to n_max vertices.
 
     Any mismatch is a solver defect (the forest equality is a theorem) and
@@ -237,7 +236,7 @@ def check_forest_pmd(n_max: int, node_budget=None, time_budget=None) -> dict:
     failures = []
     for n in range(1, n_max + 1):
         for g in enumerate_trees(n):
-            res = solve_pmd(g, node_budget=node_budget, time_budget=time_budget)
+            res = solve_pmd(g, node_budget=node_budget)
             delta = max_degree(g)
             if res.status != "exact" or res.value != delta:
                 failures.append({"graph6": encode_graph6(g), "pmd": res.value,

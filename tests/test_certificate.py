@@ -137,7 +137,7 @@ def test_stage_failures_raise(monkeypatch):
 
 def test_certify_rejects_bad_part_lists():
     """certify rejects a bad partition with explicit raises."""
-    s = pmd_module._Solver(complete(4), 10 ** 6, 60.0)
+    s = pmd_module._Solver(complete(4), 10 ** 6)
     good = s.greedy_parts()
     assert len(s.certify(good)) == len(good) == 5
     bad = {

@@ -1,9 +1,11 @@
 """Solver, greedy bound, brute-force oracle, and decomposition checking."""
 
 import copy
+import importlib
 import itertools
 import pickle
 import random
+import types
 
 import pytest
 
@@ -12,6 +14,9 @@ from lssrings.graphs import (Graph, complete, complete_bipartite, cycle, is_fore
 from lssrings.pmd import (PmdDecomposition, _Solver, greedy_upper_bound, pmd,
                           pmd_bruteforce, verify_decomposition)
 from lssrings.posmatch import WeightCertificate
+
+# lssrings.pmd is shadowed by the function of the same name on the package.
+pmd_module = importlib.import_module("lssrings.pmd")
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
 
@@ -111,7 +116,7 @@ def test_decide_returns_the_parts_of_a_split(connected_n6):
         if not g.m:
             continue
         value = pmd(g).value
-        s = _Solver(g, 10 ** 6, 60.0)
+        s = _Solver(g, 10 ** 6)
         full = (1 << s.m) - 1
         assert s.decide(full, value - 1) is None
         parts = s.decide(full, value)
@@ -131,6 +136,22 @@ def test_budget_stop_keeps_the_greedy_seed(budget):
     assert res.status == "upper_bound_only"
     assert res.value == len(greedy_upper_bound(g))
     assert res.decomposition == greedy_upper_bound(g)
+
+
+def test_results_do_not_depend_on_the_clock(monkeypatch):
+    """The node budget is the only stop: a clock that jumps an hour on
+    every read changes no value, status, node count or decomposition."""
+    monkeypatch.delenv("LSS_BUDGET_NODES", raising=False)
+    cases = [(complete(7), None, (11, "exact", 1019)),
+             (complete(9), 5000, (15, "upper_bound_only", 5001))]
+    steady = [pmd(g, node_budget=nb) for g, nb, _ in cases]
+    now = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(pmd_module, "time",
+                        types.SimpleNamespace(monotonic=lambda: next(now)))
+    for (g, nb, pin), before in zip(cases, steady):
+        res = pmd(g, node_budget=nb)
+        assert (res.value, res.status, res.nodes) == pin
+        assert res.decomposition == before.decomposition
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -224,12 +245,12 @@ def test_forest_parts_detects_cycles_and_colours_trees(connected_n6):
     cyclic = [Graph.from_edges(7, [(1, 2), (2, 3), (1, 3), (5, 6)]),     # cycle first,
               Graph.from_edges(7, [(1, 2), (4, 5), (5, 6), (4, 6)])]     # or later
     for g in [*connected_n6, *map(cycle, range(3, 8)), *forests, *cyclic]:
-        parts = _Solver(g, 10 ** 6, 60.0).forest_parts()
+        parts = _Solver(g, 10 ** 6).forest_parts()
         assert (parts is None) == (not is_forest(g)), g
     trees = [t for n in range(2, 7) for t in _labeled_trees(n)]
     assert len(trees) == sum(n ** (n - 2) for n in range(2, 7))
     for g in trees + forests:
-        parts = _Solver(g, 10 ** 6, 60.0).forest_parts()
+        parts = _Solver(g, 10 ** 6).forest_parts()
         assert len(parts) == max_degree(g) and all(parts)
         assert sum(parts) == (1 << g.m) - 1          # disjoint and covering
         for pm in parts:

@@ -171,6 +171,22 @@ def test_cli_invariants_json(capsys):
     assert (data["delta"], data["k"], data["alpha"]) == (3, 2, 4)
 
 
+def test_cli_invariants_of_graphs_graph6_cannot_encode(capsys):
+    """graph6 covers 1 <= n <= 62; outside that range the graph6 field is
+    null and every other field is reported as usual."""
+    for spec, n, m, delta in (("complete:0", 0, 0, 0), ("path:63", 63, 62, 2)):
+        assert cli_main(["invariants", spec, "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["graph6"] is None
+        assert (data["n"], data["m"], data["delta"]) == (n, m, delta)
+        assert data["elimination_order"] == list(range(1, n + 1))
+        assert cli_main(["invariants", spec]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("graph6: None\n") and f"\nn: {n}\nm: {m}\n" in out
+    assert cli_main(["invariants", "path:62", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["graph6"][0] == chr(63 + 62)
+
+
 def test_cli_pmd_certificate(capsys):
     assert cli_main(["pmd", "example", "--certificate"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -188,6 +204,8 @@ def test_cli_family_spec_with_wrong_parameter_count(capsys):
         ("complete:", "'complete' takes 1 parameter, got 0"),
         ("complete_bipartite:3", "'complete_bipartite' takes 2 parameters, got 1"),
         ("star:3,4", "'star' takes 1 parameter, got 2"),
+        ("complete_bipartite:2,,3", "'complete_bipartite' takes 2 parameters, got 3"),
+        ("star:,4", "'star' takes 1 parameter, got 2"),
     ]:
         assert cli_main(["pmd", spec]) == 1
         captured = capsys.readouterr()

@@ -23,7 +23,7 @@ pmd_module = importlib.import_module("lssrings.pmd")
 
 
 def _stage(g):
-    s = pmd_module._Solver(g, 10 ** 9, 3600.0)
+    s = pmd_module._Solver(g, 10 ** 9)
     return s._stage((1 << s.m) - 1)
 
 
