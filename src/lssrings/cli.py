@@ -2,8 +2,8 @@
 
 Graphs are given as a family spec ("star:3", "path:6", "cycle:4",
 "complete:5", "complete_bipartite:2,3", "gapped:4", "example"), a
-graph6 literal, or a path to a file holding either an edge list
-("n" header then "i j" lines) or graph6 lines.
+graph6 literal, or a path to a file holding one graph: an edge list
+("n" header then "i j" lines) or one graph6 line (several are a corpus).
 
 Exit codes: 0 success (findings included), 1 argument or input error
 (usage errors included), 2 desk-scale guard tripped.
@@ -18,13 +18,14 @@ import sys
 
 from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
                      family, is_bipartite, max_degree, parse_edge_list,
-                     parse_graph6)
+                     parse_graph6, path as path_graph, star as star_graph)
 from .groebner import DeskScaleExceeded
 from .pmd import pmd, verify_decomposition
 from .poly import (initial_form, lss_generators, pairwise_coprime_squarefree,
                    ring_for, weight_from_pmd)
-from .reports import (invariants_of, properties_at, threshold_table,
-                      verify_D_nonzero, verify_path_suite, verify_star_suite)
+from .reports import (SectionSuite, SuiteCheck, invariants_of, properties_at,
+                      threshold_table, verify_D_nonzero, verify_path_suite,
+                      verify_star_suite)
 from .scan import (check_forest_pmd, enumerate_trees, iter_corpus_lines,
                    rows_to_csv, scan_corpus)
 
@@ -37,12 +38,15 @@ def load_graph(spec: str) -> Graph:
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
-        first = next(iter_corpus_lines(text), None)
-        if first is None:
+        lines = list(iter_corpus_lines(text))
+        if not lines:
             raise GraphFormatError(f"{spec}: empty graph file")
-        if first.isdigit():
+        if lines[0].isdigit():
             return parse_edge_list(text)
-        return parse_graph6(first)
+        if len(lines) > 1:
+            raise GraphFormatError(f"{spec}: holds {len(lines)} graphs, not one; "
+                                   f"use `lssrings scan` for a corpus")
+        return parse_graph6(lines[0])
     if ":" in spec:
         kind, _, rest = spec.partition(":")
         return family(kind, *(rest.split(",") if rest else ()))
@@ -105,25 +109,15 @@ def cmd_thresholds(args) -> int:
 def cmd_verify(args) -> int:
     if args.n is not None and args.target not in ("star", "path"):
         raise ValueError(f"--n applies to star and path only, not {args.target}")
-    ok = True
     if args.target == "star":
         suite = verify_star_suite(3 if args.n is None else args.n)
-        ok = _print_suite(suite, args.json)
     elif args.target == "path":
         suite = verify_path_suite(4 if args.n is None else args.n)
-        ok = _print_suite(suite, args.json)
     elif args.target == "D":
-        from .graphs import path as path_graph, star as star_graph
-        checks = [
-            ("path on 3, remove vertex 3, d=2", verify_D_nonzero(path_graph(3), 3, 2)),
-            ("2-leaf star, remove center, d=2", verify_D_nonzero(star_graph(2), 3, 2)),
-        ]
-        for name, passed in checks:
-            ok &= passed
-            print(f"{'PASS' if passed else 'FAIL'} determinant nonzero: {name}")
-    elif args.target == "example":
-        ok = _verify_example()
-    return 0 if ok else 1
+        suite = _d_suite()
+    else:
+        suite = _example_suite()
+    return 0 if _print_suite(suite, args.json) else 1
 
 
 def _print_suite(suite, as_json: bool) -> bool:
@@ -139,13 +133,25 @@ def _print_suite(suite, as_json: bool) -> bool:
     return suite.passed
 
 
-def _verify_example() -> bool:
+def _d_suite() -> SectionSuite:
+    """The determinant D survives in the quotient on two small cases."""
+    return SectionSuite("D nonzero d=2", (
+        SuiteCheck("determinant nonzero: path on 3, remove vertex 3, d=2",
+                   verify_D_nonzero(path_graph(3), 3, 2)),
+        SuiteCheck("determinant nonzero: 2-leaf star, remove center, d=2",
+                   verify_D_nonzero(star_graph(2), 3, 2)),
+    ))
+
+
+def _example_suite() -> SectionSuite:
     """End-to-end run of the worked four-vertex example."""
     g = load_graph("example")
     res = pmd(g)
-    ok = res.value == 3 and res.status == "exact"
-    print(f"{'PASS' if ok else 'FAIL'} pmd(example) = {res.value} (expect 3)")
-    ok &= verify_decomposition(g, res.decomposition)
+    checks = [
+        SuiteCheck("pmd(example) = 3", res.value == 3 and res.status == "exact",
+                   f"got {res.value}, {res.status}"),
+        SuiteCheck("decomposition verifies", verify_decomposition(g, res.decomposition)),
+    ]
     d = 3
     ring = ring_for(g.n, d)
     order = weight_from_pmd(res.decomposition, ring)
@@ -153,13 +159,11 @@ def _verify_example() -> bool:
     for (edge, f) in lss_generators(g, d, ring):
         ini = initial_form(f, order)
         monos.append(next(iter(ini.terms)))
-        print(f"  leading form of edge {edge}: {ini}")
-        if len(ini) != 1:
-            ok = False
-    coprime = pairwise_coprime_squarefree(monos)
-    ok &= coprime
-    print(f"{'PASS' if coprime else 'FAIL'} leading monomials pairwise coprime and squarefree")
-    return ok
+        checks.append(SuiteCheck(f"leading form of edge {edge} is a monomial",
+                                 len(ini) == 1, str(ini)))
+    checks.append(SuiteCheck("leading monomials pairwise coprime and squarefree",
+                             pairwise_coprime_squarefree(monos)))
+    return SectionSuite(f"example d={d}", tuple(checks))
 
 
 def cmd_scan(args) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import add, ge, le, sub
 
 from .poly import (Polynomial, Ring, TermOrder, grevlex_key,
@@ -249,10 +249,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return any(not any(m) for m in self.gens)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.gens
-
 
 def minimalize(monos) -> list:
     def divides(a, b):
@@ -271,23 +267,6 @@ def initial_ideal(basis: IdealBasis) -> MonomialIdeal:
     the true initial ideal)."""
     return MonomialIdeal(tuple(minimalize(lm for _, lm, _ in basis.divisors)),
                          basis.ring.nvars)
-
-
-def monomial_dim(mi: MonomialIdeal) -> int:
-    """Krull dimension of the quotient: mi.nvars minus the least number of
-    variables covering every generator support. The unit ideal reports -1."""
-    if mi.is_unit:
-        return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in mi.gens]
-    if not supports:
-        return mi.nvars
-    universe = sorted(set().union(*supports))
-    for size in range(0, len(universe) + 1):
-        for cover in combinations(universe, size):
-            cset = set(cover)
-            if all(s & cset for s in supports):
-                return mi.nvars - size
-    return mi.nvars - len(universe)
 
 
 def hilbert_numerator(mi: MonomialIdeal) -> list:
@@ -340,33 +319,46 @@ def hilbert_numerator(mi: MonomialIdeal) -> list:
     return rec(list(mi.gens))
 
 
-def monomial_multiplicity(mi: MonomialIdeal) -> int:
-    """Multiplicity of the quotient from the Hilbert numerator at t = 1.
+def _dim_and_multiplicity(mi: MonomialIdeal) -> tuple:
+    """(Krull dimension, multiplicity) of the quotient, read off the
+    Hilbert numerator N.
 
-    The numerator is divided by (1-t) once per unit of height; each
-    division must be exact. Pairwise-coprime squarefree quadrics give
-    2^(number of generators). The unit ideal reports 0.
+    The Hilbert series of S/I is N(t)/(1-t)^nvars. Writing
+    N = (1-t)^h * Q with Q(1) != 0, the series is Q(t)/(1-t)^(nvars-h):
+    its pole order at t = 1 is the Krull dimension nvars - h, and Q(1)
+    is the multiplicity (Hilbert-Serre). So N is divided by (1-t) while
+    it vanishes at 1. Each division is exact by the factor theorem and
+    keeps the constant term, so the loop ends once N(0) != 0 is known.
+    N(0) = 1 since degree 0 of S/I is the field, and Q(1) > 0 since it
+    sums the lengths of the top-dimensional components; a numerator that
+    breaks either raises. The unit ideal (N = 0) reports -1 and 0.
     """
     if mi.is_unit:
-        return 0
-    if mi.is_zero:
-        return 1
+        return -1, 0
     num = hilbert_numerator(mi)
-    height = mi.nvars - monomial_dim(mi)
-    for _ in range(height):
-        if sum(num) != 0:
-            raise ArithmeticError("Hilbert numerator not divisible by (1-t)")
-        # divide by (1 - t): synthetic division
-        out = [0] * (len(num) - 1)
-        acc = 0
-        for i in range(len(num) - 1):
-            acc += num[i]
-            out[i] = acc
-        num = out if out else [0]
+    if num[0] != 1:
+        raise ArithmeticError("Hilbert numerator must be 1 at t = 0")
+    height = 0
+    while sum(num) == 0:
+        num = list(accumulate(num[:-1]))    # exact division by (1 - t)
+        height += 1
     e = sum(num)
     if e <= 0:
         raise ArithmeticError("multiplicity must be positive")
-    return e
+    return mi.nvars - height, e
+
+
+def monomial_dim(mi: MonomialIdeal) -> int:
+    """Krull dimension of the quotient, the pole order of its Hilbert
+    series at t = 1; -1 for the unit ideal."""
+    return _dim_and_multiplicity(mi)[0]
+
+
+def monomial_multiplicity(mi: MonomialIdeal) -> int:
+    """Multiplicity of the quotient, the Hilbert numerator at t = 1 after
+    dividing out every factor (1-t); 0 for the unit ideal. Pairwise-coprime
+    squarefree quadrics give 2^(number of generators)."""
+    return _dim_and_multiplicity(mi)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -298,9 +299,25 @@ def test_ci_multiplicity():
     assert ci_multiplicity([1, 2]) == 2
 
 
+def _reference_dim(mi):
+    """nvars minus the size of a least vertex cover of the generator
+    supports, found by trying every subset of the support variables in
+    order of size; -1 for the unit ideal."""
+    if mi.is_unit:
+        return -1
+    supports = [{i for i, e in enumerate(m) if e} for m in mi.gens]
+    universe = sorted(set().union(*supports))
+    for size in range(len(universe) + 1):
+        for cover in combinations(universe, size):
+            if all(s.intersection(cover) for s in supports):
+                return mi.nvars - size
+
+
 def test_hilbert_numerator_matches_direct_counting():
-    """Seeded random monomial ideals: the series expansion of the numerator
-    over (1-t)^n reproduces the count of standard monomials per degree."""
+    """Seeded random monomial ideals, zero, unit and non-squarefree ones
+    included: the series expansion of the numerator over (1-t)^n
+    reproduces the count of standard monomials per degree, and the
+    dimension read off the numerator equals the least vertex cover's."""
     from itertools import combinations_with_replacement
     from math import comb
     from lssrings.groebner import hilbert_numerator
@@ -316,23 +333,35 @@ def test_hilbert_numerator_matches_direct_counting():
                 cnt += 1
         return cnt
 
-    checked = 0
-    for _ in range(60):
-        nvars = rng.randint(2, 5)
-        gens = [tuple(rng.randint(0, 2) for _ in range(nvars))
-                for _ in range(rng.randint(1, 4))]
-        gens = tuple(minimalize([g for g in gens if any(g)]))
-        if not gens:
-            continue
-        num = hilbert_numerator(MonomialIdeal(gens, nvars))
+    kinds = {"zero": 0, "unit": 0, "non-squarefree": 0, "height >= 3": 0}
+    for k in range(200):
+        nvars = rng.randint(1, 6)
+        gens = []
+        for _ in range(rng.randint(1, 6)):
+            m = [0] * nvars
+            for i in rng.sample(range(nvars), rng.randint(1, nvars)):
+                m[i] = rng.randint(1, 3)
+            gens.append(tuple(m))
+        if k % 25 == 0:
+            gens.append((0,) * nvars)
+        elif k % 25 == 1:
+            gens = []
+        mi = MonomialIdeal(tuple(minimalize(gens)), nvars)
+        num = hilbert_numerator(mi)
         series = [0] * 7
         for i, c in enumerate(num):
             if c and i <= 6:
-                for k in range(7 - i):
-                    series[i + k] += c * comb(nvars - 1 + k, k)
-        assert series == [direct(gens, nvars, d) for d in range(7)], gens
-        checked += 1
-    assert checked >= 40
+                for j in range(7 - i):
+                    series[i + j] += c * comb(nvars - 1 + j, j)
+        assert series == [direct(mi.gens, nvars, d) for d in range(7)], mi
+        dim = monomial_dim(mi)
+        assert dim == _reference_dim(mi), mi
+        assert monomial_multiplicity(mi) > 0 or mi.is_unit
+        kinds["zero"] += not mi.gens
+        kinds["unit"] += mi.is_unit
+        kinds["non-squarefree"] += any(e > 1 for m in mi.gens for e in m)
+        kinds["height >= 3"] += dim <= nvars - 3
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_oracle_agreement_on_dense_small_graphs(all_n5):
@@ -576,16 +605,34 @@ BASIS_DIGESTS = {
 }
 
 
+# multiplicity of the grevlex initial ideal of K_n at d
+MULTIPLICITIES = {(4, 5): 64, (5, 3): 50}
+
+
 @pytest.mark.parametrize("n, d, size, dim", [(4, 5, 37, 14), (5, 3, 135, 7)])
 def test_complete_graph_ring_pins(n, d, size, dim):
-    """K4 is a complete intersection at d = 5 (dim = nd - m); K5 is not
-    at d = 3 (dim 7, nd - m = 5). The bases are pinned by value, and
-    every coefficient of both is an int."""
+    """K4 is a complete intersection at d = 5 (dim = nd - m, e = 2^m); K5
+    is not at d = 3 (dim 7, nd - m = 5). The bases are pinned by value,
+    and every coefficient of both is an int."""
     gb = _grevlex_basis(complete(n), d)
     assert len(gb.generators) == size
-    assert monomial_dim(initial_ideal(gb)) == dim
+    mi = initial_ideal(gb)
+    assert (monomial_dim(mi), monomial_multiplicity(mi)) == (dim, MULTIPLICITIES[n, d])
+    assert _reference_dim(mi) == dim
     assert _basis_digest(gb.generators) == BASIS_DIGESTS[n, d]
     assert all(type(c) is int for f in gb.generators for c in f.terms.values())
+
+
+@pytest.mark.parametrize("g, dim, e", [(complete(4), 6, 64),
+                                      (complete_bipartite(2, 3), 10, 12),
+                                      (cycle(5), 10, 32)])
+def test_grevlex_initial_ideal_pins_at_d3(g, dim, e):
+    """(dim, e) of the grevlex initial ideal at d = 3: K4 and C5 are
+    complete intersections there (dim = nd - m, e = 2^m), K2,3 is not
+    (dim 10 against nd - m = 9)."""
+    mi = initial_ideal(_grevlex_basis(g, 3))
+    assert (monomial_dim(mi), monomial_multiplicity(mi)) == (dim, e)
+    assert _reference_dim(mi) == dim
 
 
 def test_integer_data_keeps_int_coefficients():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lssrings import scan
+from lssrings import cli, scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
 from lssrings.pmd import default_node_budget
@@ -234,6 +234,24 @@ def test_cli_verify_star_path_d_example(capsys):
     assert cli_main(["verify", "path", "--n", "4"]) == 0
 
 
+def test_cli_verify_json_on_every_target(capsys, monkeypatch):
+    """Each target prints one JSON suite document with --json, and the same
+    checks as PASS/FAIL lines without it; the exit code follows the suite."""
+    text = {}
+    for target in ("star", "path", "D", "example"):
+        assert cli_main(["verify", target, "--json"]) == 0, target
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["passed"] is True and doc["checks"], target
+        assert cli_main(["verify", target]) == 0, target
+        text[target] = capsys.readouterr().out.splitlines()
+        assert text[target] == [f"PASS {c['name']}" + (f" ({c['detail']})" if c["detail"] else "")
+                                for c in doc["checks"]] + [f"PASS {doc['suite']}"], target
+    assert text["example"][0].startswith("PASS pmd(example) = 3")
+    monkeypatch.setattr(cli, "verify_D_nonzero", lambda g, v, d: False)
+    assert cli_main(["verify", "D", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
 def test_cli_verify_n_applies_to_star_and_path_only(capsys):
     for target in ("D", "example"):
         assert cli_main(["verify", target, "--n", "3"]) == 1
@@ -321,6 +339,21 @@ def test_cli_graph_files_skip_comments_and_report_physical_lines(tmp_path, capsy
     edges.write_text("# only a comment\n\n", encoding="utf-8")
     assert cli_main(["invariants", str(edges)]) == 1
     assert capsys.readouterr().err == f"error: {edges}: empty graph file\n"
+
+
+def test_cli_graph6_file_with_several_graphs_is_refused(tmp_path, capsys):
+    """A graph file holds one graph; a corpus goes to `scan`, not to the
+    first line of it."""
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("A_\nBw\nC~\n", encoding="utf-8")
+    for argv in (["pmd", str(corpus)], ["invariants", str(corpus)],
+                 ["thresholds", str(corpus), "--d", "3"]):
+        assert cli_main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (f"error: {corpus}: holds 3 graphs, not one; "
+                                "use `lssrings scan` for a corpus\n")
+    assert cli_main(["scan", str(corpus), "--stable"]) == 0
 
 
 def test_cli_family_specs_name_the_family_on_bad_parameters(capsys):
