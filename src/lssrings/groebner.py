@@ -21,14 +21,20 @@ same code then carries it.
 Sizes are deliberately capped: past roughly forty variables or a few
 thousand basis elements the computation aborts with a desk-scale error
 instead of thrashing.
+
+One helper says each monomial fact: `_divides` and `_lcm` on exponent
+tuples, and `_support`, whose bitmasks screen divisibility (a divisor's
+support lies inside the multiple's) and coprimality (disjoint supports)
+before any tuple is read.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
-from operator import add, ge, le, sub
+from operator import add, le, sub
 
 from .poly import (Polynomial, Ring, TermOrder, grevlex_key,
                    leading_monomial)
@@ -55,12 +61,28 @@ def normal_form(f: Polynomial, basis, order: TermOrder) -> Polynomial:
     divides it. Each element is made monic once, which leaves every
     division step and so the remainder unchanged; `_reduce` divides.
     """
+    basis = list(basis)
+    _same_ring([f, *basis], order)
     return _reduce(f, [_monic(g, leading_monomial(g, order))
                        for g in basis if not g.is_zero()], order)
 
 
+def _same_ring(polys, order: TermOrder) -> None:
+    if any(f.ring != order.ring for f in polys):
+        raise ValueError("term order is built on another ring")
+
+
 def _support(mono) -> int:
     return sum(1 << i for i, e in enumerate(mono) if e)
+
+
+def _divides(a, b) -> bool:
+    """Whether the monomial a divides the monomial b."""
+    return all(map(le, a, b))
+
+
+def _lcm(a, b) -> tuple:
+    return tuple(map(max, a, b))
 
 
 def _monic(g: Polynomial, lm) -> tuple:
@@ -91,7 +113,7 @@ def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
             continue
         support = _support(m)
         for g, glm, mask in divisors:
-            if not mask & ~support and all(map(ge, m, glm)):
+            if not mask & ~support and _divides(glm, m):
                 break
         else:
             rem[m] = work.pop(m)
@@ -114,6 +136,7 @@ def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:
 
 def spoly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
     """S-polynomial of f and g; makes both monic for `_spoly`."""
+    _same_ring([f, g], order)
     return _spoly(_monic(f, leading_monomial(f, order)),
                   _monic(g, leading_monomial(g, order)))
 
@@ -122,7 +145,7 @@ def _spoly(a, b) -> Polynomial:
     """S-polynomial of the monic `_monic` triples a and b: f shifted up to
     the lcm of the leads, minus g shifted there, subtracted in place."""
     (f, flm, _), (g, glm, _) = a, b
-    lcm = tuple(map(max, flm, glm))
+    lcm = _lcm(flm, glm)
     fshift, gshift = tuple(map(sub, lcm, flm)), tuple(map(sub, lcm, glm))
     out = {tuple(map(add, m, fshift)): c for m, c in f.terms.items()}
     for m, c in g.terms.items():
@@ -171,38 +194,31 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
     the pending pairs answers the chain criterion. Each element enters as
     a `_monic` triple, kept as it is into the result.
     """
+    gens = list(gens)
+    _same_ring(gens, order)
     ring = order.ring
     if ring.nvars > MAX_VARS:
         raise DeskScaleExceeded(f"{ring.nvars} variables exceeds the desk-scale cap {MAX_VARS}")
     divisors = [_monic(f, leading_monomial(f, order)) for f in gens if not f.is_zero()]
     lms = [lm for _, lm, _ in divisors]
 
-    def lcm(a, b):
-        return tuple(map(max, a, b))
-
     def entry(i, j):
         # selection key of the pair, computed once when the pair is made
-        return order.key(lcm(lms[i], lms[j])), (i, j)
+        return order.key(_lcm(lms[i], lms[j])), (i, j)
 
     queue = [entry(i, j) for i in range(len(lms)) for j in range(i + 1, len(lms))]
     heapify(queue)
     pending = {pair for _, pair in queue}
 
-    def coprime(a, b):
-        return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-    def divides(a, b):
-        return all(map(le, a, b))
-
     while queue:
         _, (i, j) = heappop(queue)
         pending.remove((i, j))
-        lij = lcm(lms[i], lms[j])
-        if coprime(lms[i], lms[j]):
+        if not divisors[i][2] & divisors[j][2]:     # coprime leads
             continue
+        lij = _lcm(lms[i], lms[j])
         # chain criterion: some k with lm_k | lcm and both pairs already handled
         support = _support(lij)
-        if any(not divisors[k][2] & ~support and divides(lms[k], lij)
+        if any(not divisors[k][2] & ~support and _divides(lms[k], lij)
                and (min(i, k), max(i, k)) not in pending
                and (min(j, k), max(j, k)) not in pending
                for k in range(len(lms)) if k not in (i, j)):
@@ -221,7 +237,7 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
 
     # minimalize: drop elements whose lead is divisible by another lead
     keep = [divisors[i] for i in range(len(lms))
-            if not any(k != i and divides(lms[k], lms[i])
+            if not any(k != i and _divides(lms[k], lms[i])
                        and (lms[k] != lms[i] or k < i) for k in range(len(lms)))]
     # tail-reduce each element against the others, by decreasing lead; no
     # other kept lead divides an element's monic lead term, so it stays,
@@ -232,6 +248,7 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
 
 
 def ideal_member(f: Polynomial, basis: IdealBasis) -> bool:
+    _same_ring([f], basis.order)
     return _reduce(f, basis.divisors, basis.order).is_zero()
 
 
@@ -251,75 +268,63 @@ class MonomialIdeal:
 
 
 def minimalize(monos) -> list:
-    def divides(a, b):
-        return all(x <= y for x, y in zip(a, b))
-
+    """The minimal generators of the ideal the monomials generate, in
+    grevlex order. Sorted by degree first, a monomial is never divided by
+    a later one, so one pass keeps each that no kept monomial divides."""
     out: list = []
     for m in sorted(set(monos), key=grevlex_key):
-        if not any(divides(g, m) for g in out):
-            out = [g for g in out if not divides(m, g)]
+        if not any(_divides(g, m) for g in out):
             out.append(m)
-    return sorted(out, key=grevlex_key)
+    return out
 
 
 def initial_ideal(basis: IdealBasis) -> MonomialIdeal:
     """Monomial ideal of the basis leading terms (a Groebner basis gives
-    the true initial ideal)."""
-    return MonomialIdeal(tuple(minimalize(lm for _, lm, _ in basis.divisors)),
+    the true initial ideal). The leads of a reduced basis are minimal, so
+    they are only put in grevlex order."""
+    return MonomialIdeal(tuple(sorted((lm for _, lm, _ in basis.divisors), key=grevlex_key)),
                          basis.ring.nvars)
 
 
 def hilbert_numerator(mi: MonomialIdeal) -> list:
     """Numerator of the Hilbert series over (1-t)^nvars as a coefficient list.
 
-    Recursive pivot splitting: for a variable x,
-    N(I) = N(I + (x)) + t * N(I : x); pairwise-coprime generators close
-    the recursion with a product of (1 - t^deg).
+    The pivot recursion of Bayer and Stillman: for a variable x that two
+    generators share, N(I) = N(I + (x)) + t * N(I : x); pairwise-coprime
+    generators close the recursion with the product of (1 - t^deg). The
+    pivot is the first variable of the first pair, in grevlex order, that
+    shares one. The generators are minimalized once, at entry, and the
+    lists stay minimal and in grevlex order: I + (x) is the generators
+    free of x with x put in place, and only I : x is minimalized. Since x
+    divides two minimal generators, x is not one of them and I : x never
+    contains 1; only the unit ideal itself has numerator 0.
     """
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
-
     def rec(gens):
-        gens = minimalize(gens)
-        if any(not any(m) for m in gens):
-            return [0]
-        shared = None
-        for a, b in combinations(gens, 2):
-            common = next((i for i, (x, y) in enumerate(zip(a, b)) if x and y), None)
-            if common is not None:
-                shared = common
-                break
-        if shared is None:
+        masks = [_support(m) for m in gens]
+        shared = next((a & b for a, b in combinations(masks, 2) if a & b), 0)
+        if not shared:
             out = [1]
-            for m in gens:
+            for m in gens:      # out *= 1 - t^d: subtract out shifted up by d
                 d = sum(m)
-                factor = [1] + [0] * (d - 1) + [-1]
-                out = poly_mul(out, factor)
+                out = list(map(sub, out + [0] * d, [0] * d + out))
             return out
-        x = shared
-        plus = [m for m in gens] + [tuple(1 if i == x else 0 for i in range(mi.nvars))]
-        colon = [tuple(e - 1 if i == x and e else e for i, e in enumerate(m)) for m in gens]
+        x = (shared & -shared).bit_length() - 1
+        plus = [m for m in gens if not m[x]]
+        insort(plus, tuple(int(i == x) for i in range(mi.nvars)), key=grevlex_key)
         a = rec(plus)
-        b = rec(colon)
-        out = [0] * max(len(a), len(b) + 1)
-        for i, v in enumerate(a):
+        b = rec(minimalize(m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens))
+        out = a + [0] * (len(b) + 1 - len(a))
+        for i, v in enumerate(b, 1):
             out[i] += v
-        for i, v in enumerate(b):
-            out[i + 1] += v
         while len(out) > 1 and out[-1] == 0:
             out.pop()
         return out
 
-    return rec(list(mi.gens))
+    gens = minimalize(mi.gens)
+    return [0] if any(not any(m) for m in gens) else rec(gens)
 
 
-def _dim_and_multiplicity(mi: MonomialIdeal) -> tuple:
+def dim_and_multiplicity(mi: MonomialIdeal) -> tuple:
     """(Krull dimension, multiplicity) of the quotient, read off the
     Hilbert numerator N.
 
@@ -332,6 +337,7 @@ def _dim_and_multiplicity(mi: MonomialIdeal) -> tuple:
     N(0) = 1 since degree 0 of S/I is the field, and Q(1) > 0 since it
     sums the lengths of the top-dimensional components; a numerator that
     breaks either raises. The unit ideal (N = 0) reports -1 and 0.
+    Pairwise-coprime squarefree quadrics give 2^(number of generators).
     """
     if mi.is_unit:
         return -1, 0
@@ -348,25 +354,14 @@ def _dim_and_multiplicity(mi: MonomialIdeal) -> tuple:
     return mi.nvars - height, e
 
 
-def monomial_dim(mi: MonomialIdeal) -> int:
-    """Krull dimension of the quotient, the pole order of its Hilbert
-    series at t = 1; -1 for the unit ideal."""
-    return _dim_and_multiplicity(mi)[0]
-
-
-def monomial_multiplicity(mi: MonomialIdeal) -> int:
-    """Multiplicity of the quotient, the Hilbert numerator at t = 1 after
-    dividing out every factor (1-t); 0 for the unit ideal. Pairwise-coprime
-    squarefree quadrics give 2^(number of generators)."""
-    return _dim_and_multiplicity(mi)[1]
-
-
 # ---------------------------------------------------------------------------
 # intersections and complete intersections
 
 def ideal_intersection(gens_i, gens_j, order: TermOrder) -> IdealBasis:
     """Groebner basis of I cap J: eliminate the homogenizing variable t
     from t*I + (1-t)*J under a block order with t first."""
+    gens_i, gens_j = list(gens_i), list(gens_j)
+    _same_ring(gens_i + gens_j, order)
     ring = order.ring
     aux = ("t", 0)
     ext = Ring((aux,) + ring.tokens)

@@ -8,9 +8,8 @@ import time
 
 from lssrings.graphs import (encode_graph6, gapped, is_bipartite,
                              parse_edge_list, path, star)
-from lssrings.groebner import (MonomialIdeal, buchberger, initial_ideal,
-                               minimalize, monomial_dim,
-                               monomial_multiplicity)
+from lssrings.groebner import (MonomialIdeal, buchberger, dim_and_multiplicity,
+                               initial_ideal, minimalize)
 from lssrings.pmd import pmd, pmd_bruteforce, verify_decomposition
 from lssrings.poly import (TermOrder, initial_form, lss_generators,
                            pairwise_coprime_squarefree, ring_for,
@@ -133,8 +132,7 @@ def test_criterion_07_dimension_and_multiplicity():
         assert len(ini) == 1
         lts.append(next(iter(ini.terms)))
     mi = MonomialIdeal(tuple(minimalize(lts)), ring.nvars)
-    dim = monomial_dim(mi)
-    mult = monomial_multiplicity(mi)
+    dim, mult = dim_and_multiplicity(mi)
     assert dim == 9 and mult == 8
     # Herzog-type ideal: multiplicity 3
     r = ring_for(3, 2)
@@ -143,7 +141,7 @@ def test_criterion_07_dimension_and_multiplicity():
               y(3, 1) * y(2, 1) + y(3, 2) * y(2, 2),
               y(1, 1) * y(3, 2) - y(1, 2) * y(3, 1)]
     gb = buchberger(herzog, TermOrder.grevlex(r))
-    e = monomial_multiplicity(initial_ideal(gb))
+    e = dim_and_multiplicity(initial_ideal(gb))[1]
     assert e == 3
     print("PASS criterion 7: path initial ideal has dim 9 and multiplicity 8; "
           "Herzog-type ideal has multiplicity 3")

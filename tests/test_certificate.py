@@ -253,16 +253,15 @@ def test_hilbert_checks_raise(monkeypatch):
     """A numerator that is not 1 at t = 0, or that leaves a multiplicity
     of 0 or less once (1-t) is divided out, raises instead of answering."""
     mi = groebner.MonomialIdeal(((1, 0),), 2)       # (y1): dim 1, e 1
-    assert groebner.monomial_dim(mi) == 1
-    assert groebner.monomial_multiplicity(mi) == 1
+    assert groebner.dim_and_multiplicity(mi) == (1, 1)
     for num in ([0], [0, 1, -1], [2, -2]):
         monkeypatch.setattr(groebner, "hilbert_numerator", lambda mi, num=num: num)
         with pytest.raises(ArithmeticError, match="must be 1 at t = 0"):
-            groebner.monomial_dim(mi)
+            groebner.dim_and_multiplicity(mi)
     for num in ([1, -2], [1, -3, 2]):               # e = -1, before and after a division
         monkeypatch.setattr(groebner, "hilbert_numerator", lambda mi, num=num: num)
         with pytest.raises(ArithmeticError, match="must be positive"):
-            groebner.monomial_multiplicity(mi)
+            groebner.dim_and_multiplicity(mi)
 
 
 def test_solve_is_verified_under_optimize_flag():

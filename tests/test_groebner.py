@@ -10,9 +10,9 @@ import pytest
 from lssrings.graphs import (complete, complete_bipartite, cycle,
                              parse_edge_list, path, star)
 from lssrings.groebner import (DeskScaleExceeded, MonomialIdeal, buchberger,
-                               ci_multiplicity, ideal_intersection,
+                               ci_multiplicity, dim_and_multiplicity,
+                               hilbert_numerator, ideal_intersection,
                                ideal_member, initial_ideal, minimalize,
-                               monomial_dim, monomial_multiplicity,
                                normal_form, spoly)
 from lssrings.pmd import pmd
 from lssrings.poly import (Polynomial, Ring, TermOrder, initial_form,
@@ -71,9 +71,7 @@ def test_buchberger_principal_and_k2():
 def test_buchberger_herzog_ideal_multiplicity_three():
     r = ring_for(3, 2)
     gb = buchberger(_herzog_ideal(r), TermOrder.grevlex(r))
-    mi = initial_ideal(gb)
-    assert monomial_dim(mi) == 4
-    assert monomial_multiplicity(mi) == 3
+    assert dim_and_multiplicity(initial_ideal(gb)) == (4, 3)
 
 
 def test_spolys_of_basis_reduce_to_zero():
@@ -139,8 +137,7 @@ def test_initial_ideal_coprime_quadrics_all_n4(all_n5):
             assert all(sum(m) == 2 and max(m) == 1 for m in mi.gens)
             from lssrings.poly import pairwise_coprime_squarefree
             assert pairwise_coprime_squarefree(mi.gens)
-            assert monomial_dim(mi) == g.n * d - g.m
-            assert monomial_multiplicity(mi) == 2 ** g.m
+            assert dim_and_multiplicity(mi) == (g.n * d - g.m, 2 ** g.m)
 
 
 def test_initial_ideal_under_pmd_weights_needs_no_reduction():
@@ -240,18 +237,16 @@ def test_initial_ideal_trivial_cases():
 
 def test_monomial_dim_cases():
     two = MonomialIdeal(((1, 1),), 2)           # (y1*y2) in 2 variables
-    assert monomial_dim(two) == 1
+    assert dim_and_multiplicity(two) == (1, 2)
     unit = MonomialIdeal(((0, 0),), 2)
-    assert monomial_dim(unit) == -1
-    assert monomial_multiplicity(unit) == 0
+    assert dim_and_multiplicity(unit) == (-1, 0)
     zero = MonomialIdeal((), 3)
-    assert monomial_dim(zero) == 3
-    assert monomial_multiplicity(zero) == 1
+    assert dim_and_multiplicity(zero) == (3, 1)
 
 
 def test_monomial_multiplicity_cases():
     quad = MonomialIdeal(((1, 1, 0),), 3)
-    assert monomial_multiplicity(quad) == 2
+    assert dim_and_multiplicity(quad) == (2, 2)
     # three pairwise-coprime quadrics in 12 variables: 2^3
     gens = []
     for k in range(3):
@@ -259,8 +254,7 @@ def test_monomial_multiplicity_cases():
         m[4 * k] = m[4 * k + 1] = 1
         gens.append(tuple(m))
     mi = MonomialIdeal(tuple(minimalize(gens)), 12)
-    assert monomial_dim(mi) == 9
-    assert monomial_multiplicity(mi) == 8
+    assert dim_and_multiplicity(mi) == (9, 8)
 
 
 def test_ideal_intersection_basics():
@@ -317,10 +311,11 @@ def test_hilbert_numerator_matches_direct_counting():
     """Seeded random monomial ideals, zero, unit and non-squarefree ones
     included: the series expansion of the numerator over (1-t)^n
     reproduces the count of standard monomials per degree, and the
-    dimension read off the numerator equals the least vertex cover's."""
+    dimension read off the numerator equals the least vertex cover's.
+    Hand-made ideals, given unminimalized, add the recursion's edge
+    cases."""
     from itertools import combinations_with_replacement
     from math import comb
-    from lssrings.groebner import hilbert_numerator
     rng = random.Random(999)
 
     def direct(gens, nvars, deg):
@@ -333,7 +328,7 @@ def test_hilbert_numerator_matches_direct_counting():
                 cnt += 1
         return cnt
 
-    kinds = {"zero": 0, "unit": 0, "non-squarefree": 0, "height >= 3": 0}
+    ideals = []
     for k in range(200):
         nvars = rng.randint(1, 6)
         gens = []
@@ -346,7 +341,20 @@ def test_hilbert_numerator_matches_direct_counting():
             gens.append((0,) * nvars)
         elif k % 25 == 1:
             gens = []
-        mi = MonomialIdeal(tuple(minimalize(gens)), nvars)
+        ideals.append(MonomialIdeal(tuple(minimalize(gens)), nvars))
+    ideals += [MonomialIdeal(gens, 3) for gens in (
+        # y0 among its multiples: I : y0 would contain 1 had the entry not
+        # minimalized, and the unit ideal given with other generators
+        ((0, 1, 1), (1, 1, 0), (1, 0, 0), (2, 0, 2)),
+        ((1, 1, 0), (0, 0, 0), (0, 2, 1)),
+        # the pivot is y0 (y0*y2 and y0*y1 come first and share it), and
+        # in I : y0 the lowered y1 divides y1^2*y2, which is free of y0
+        ((1, 1, 0), (1, 0, 1), (0, 2, 1)),
+        ((2, 1, 0), (1, 0, 2), (0, 1, 1), (1, 2, 1)),
+    )]
+    kinds = {"zero": 0, "unit": 0, "non-squarefree": 0, "height >= 3": 0}
+    for mi in ideals:
+        nvars = mi.nvars
         num = hilbert_numerator(mi)
         series = [0] * 7
         for i, c in enumerate(num):
@@ -354,14 +362,34 @@ def test_hilbert_numerator_matches_direct_counting():
                 for j in range(7 - i):
                     series[i + j] += c * comb(nvars - 1 + j, j)
         assert series == [direct(mi.gens, nvars, d) for d in range(7)], mi
-        dim = monomial_dim(mi)
+        dim, e = dim_and_multiplicity(mi)
         assert dim == _reference_dim(mi), mi
-        assert monomial_multiplicity(mi) > 0 or mi.is_unit
+        assert e > 0 or mi.is_unit
         kinds["zero"] += not mi.gens
         kinds["unit"] += mi.is_unit
         kinds["non-squarefree"] += any(e > 1 for m in mi.gens for e in m)
         kinds["height >= 3"] += dim <= nvars - 3
     assert min(kinds.values()) >= 5, kinds
+
+
+def test_groebner_entry_points_refuse_another_ring():
+    """A polynomial from another ring than the term order's raises, as in
+    `initial_form`; the two rings here differ in their number of variables."""
+    r2, r3 = ring_for(2, 2), ring_for(3, 2)
+    order = TermOrder.grevlex(r2)
+    f2 = yvar(r2, 1, 1) * yvar(r2, 2, 1)
+    f3 = yvar(r3, 1, 1) * yvar(r3, 3, 1)
+    gb = buchberger([f2], order)
+    for call in (lambda: buchberger([f2, f3], order),
+                 lambda: buchberger([f2, r3.zero()], order),
+                 lambda: normal_form(f3, [f2], order),
+                 lambda: normal_form(f2, [f3], order),
+                 lambda: ideal_member(f3, gb),
+                 lambda: spoly(f2, f3, order),
+                 lambda: ideal_intersection([f2], [f3], order)):
+        with pytest.raises(ValueError, match="another ring"):
+            call()
+    assert ideal_member(f2, gb) and normal_form(f2, [f2], order).is_zero()
 
 
 def test_oracle_agreement_on_dense_small_graphs(all_n5):
@@ -617,7 +645,7 @@ def test_complete_graph_ring_pins(n, d, size, dim):
     gb = _grevlex_basis(complete(n), d)
     assert len(gb.generators) == size
     mi = initial_ideal(gb)
-    assert (monomial_dim(mi), monomial_multiplicity(mi)) == (dim, MULTIPLICITIES[n, d])
+    assert dim_and_multiplicity(mi) == (dim, MULTIPLICITIES[n, d])
     assert _reference_dim(mi) == dim
     assert _basis_digest(gb.generators) == BASIS_DIGESTS[n, d]
     assert all(type(c) is int for f in gb.generators for c in f.terms.values())
@@ -631,8 +659,28 @@ def test_grevlex_initial_ideal_pins_at_d3(g, dim, e):
     complete intersections there (dim = nd - m, e = 2^m), K2,3 is not
     (dim 10 against nd - m = 9)."""
     mi = initial_ideal(_grevlex_basis(g, 3))
-    assert (monomial_dim(mi), monomial_multiplicity(mi)) == (dim, e)
+    assert dim_and_multiplicity(mi) == (dim, e)
     assert _reference_dim(mi) == dim
+
+
+# Hilbert numerators of grevlex initial ideals; K4 and C5 are the complete
+# intersection ones, (1 - t^2)^6 and (1 - t^2)^5
+NUMERATORS = {
+    ("K4", 3): [1, 0, -6, 0, 15, 0, -20, 0, 15, 0, -6, 0, 1],
+    ("K4", 4): [1, 0, -6, 0, 15, 0, -20, 0, 15, 0, -6, 0, 1],
+    ("K4", 5): [1, 0, -6, 0, 15, 0, -20, 0, 15, 0, -6, 0, 1],
+    ("K5", 3): [1, 0, -10, 0, 45, 29, -285, 320, 95, -410, 224, 60, -85, 5, 15, -4],
+    ("K2,3", 3): [1, 0, -6, 0, 15, 6, -45, 36, 0, -10, 3],
+    ("C5", 3): [1, 0, -5, 0, 10, 0, -10, 0, 5, 0, -1],
+}
+GRAPHS = {"K4": complete(4), "K5": complete(5), "K2,3": complete_bipartite(2, 3),
+          "C5": cycle(5)}
+
+
+@pytest.mark.parametrize("name, d", sorted(NUMERATORS))
+def test_grevlex_hilbert_numerator_pins(name, d):
+    mi = initial_ideal(_grevlex_basis(GRAPHS[name], d))
+    assert hilbert_numerator(mi) == NUMERATORS[name, d]
 
 
 def test_integer_data_keeps_int_coefficients():
