@@ -23,11 +23,14 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
-        """Build from 1-based vertex pairs, validating simplicity."""
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
+        """Build from 1-based vertex pairs, validating simplicity. The vertex
+        count and every endpoint must be an ``int`` (a ``bool`` is not)."""
+        if type(n) is not int or n < 0:
+            raise GraphFormatError(f"vertex count must be a nonnegative integer, got {n!r}")
         seen = set()
         for i, j in pairs:
+            if type(i) is not int or type(j) is not int:
+                raise GraphFormatError(f"edge ({i!r},{j!r}) has a non-integer endpoint")
             if i == j:
                 raise GraphFormatError(f"self-loop at vertex {i}")
             if not (1 <= i <= n and 1 <= j <= n):
@@ -53,26 +56,27 @@ class Graph:
             deg[v] += 1
         return deg
 
+    def masks(self) -> list[int]:
+        """Neighbour bitmasks: bit w of ``masks()[v]`` is set when {v, w} is
+        an edge (0-based). Built on each call, so a caller may change it."""
+        nbr = [0] * self.n
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return nbr
+
     def degree_of(self, v: int) -> int:
         """Degree of the 1-based vertex v."""
         if not 1 <= v <= self.n:
             raise GraphFormatError(f"vertex {v} outside 1..{self.n}")
-        return self.degrees()[v - 1]
+        return self.masks()[v - 1].bit_count()
 
     def neighbors_of(self, v: int) -> tuple[int, ...]:
         """Sorted 1-based neighbors of the 1-based vertex v."""
         if not 1 <= v <= self.n:
             raise GraphFormatError(f"vertex {v} outside 1..{self.n}")
-        w = v - 1
-        out = [b + 1 if a == w else a + 1 for a, b in self.edges if w in (a, b)]
-        return tuple(sorted(out))
-
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        nbr = self.masks()[v - 1]
+        return tuple(w + 1 for w in range(self.n) if nbr >> w & 1)
 
     def __str__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edge_labels())})"
@@ -236,25 +240,42 @@ def family(kind: str, *params) -> Graph:
 # ---------------------------------------------------------------------------
 # invariants
 
+def components(nbr) -> list[int]:
+    """Vertex masks of the connected components that have an edge, of the
+    graph whose 0-based neighbour bitmasks are ``nbr``, lowest vertex first."""
+    left = 0
+    for v, m in enumerate(nbr):
+        if m:
+            left |= 1 << v
+    out = []
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            b = frontier & -frontier
+            new = nbr[b.bit_length() - 1] & ~comp
+            comp |= new
+            frontier = (frontier ^ b) | new
+        left ^= comp
+        out.append(comp)
+    return out
+
+
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Repeated minimum-degree removal; ties go to the smallest vertex index.
 
     Returns the degeneracy (the max degree seen at removal time) together
     with the witnessing elimination order of 1-based vertices.
     """
-    adj = g.adjacency()
-    alive = set(range(g.n))
-    deg = {v: len(adj[v]) for v in alive}
+    nbr = g.masks()
+    alive = (1 << g.n) - 1
     order = []
     peak = 0
     while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
-        peak = max(peak, deg[v])
+        d, v = min(((nbr[u] & alive).bit_count(), u)
+                   for u in range(g.n) if alive >> u & 1)
+        peak = max(peak, d)
         order.append(v + 1)
-        alive.remove(v)
-        for w in adj[v]:
-            if w in alive:
-                deg[w] -= 1
+        alive ^= 1 << v
     return peak, tuple(order)
 
 
@@ -269,54 +290,37 @@ def alpha(g: Graph) -> int:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    adj = g.adjacency()
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for w in adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
+    """No edge inside a breadth-first layer of any component: an odd cycle
+    forces one, and without one the layers alternate two colours."""
+    nbr = g.masks()
+    for comp in components(nbr):
+        seen = layer = comp & -comp
+        while layer:
+            reach, rest = 0, layer
+            while rest:
+                b = rest & -rest
+                reach |= nbr[b.bit_length() - 1]
+                rest ^= b
+            if reach & layer:
+                return False
+            layer = reach & ~seen
+            seen |= layer
     return True
 
 
 def is_forest(g: Graph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """A tree on k vertices has k - 1 edges, so a graph is a forest exactly
+    when m = (non-isolated vertices) - (components with an edge)."""
+    comps = components(g.masks())
+    return g.m == sum(c.bit_count() for c in comps) - len(comps)
 
 
 def is_cycle_graph(g: Graph) -> bool:
     """One cycle through every vertex: 2-regular on n >= 3 vertices and
     connected (disjoint cycles are 2-regular too)."""
-    if g.n < 3 or any(d != 2 for d in g.degrees()):
-        return False
-    adj = g.adjacency()
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    nbr = g.masks()
+    return (g.n >= 3 and all(m.bit_count() == 2 for m in nbr)
+            and len(components(nbr)) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +378,7 @@ def canonical_form(nbr) -> tuple[int, ...]:
     followed by row i of the reordered adjacency matrix for i = 1..k, so
     its bit length fixes k.
     """
-    left = 0
-    for v, m in enumerate(nbr):
-        if m:
-            left |= 1 << v
-    codes = []
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            b = frontier & -frontier
-            new = nbr[b.bit_length() - 1] & ~comp
-            comp |= new
-            frontier = (frontier ^ b) | new
-        left ^= comp
-        codes.append(_component_code(nbr, comp))
-    return tuple(sorted(codes))
+    return tuple(sorted(_component_code(nbr, comp) for comp in components(nbr)))
 
 
 def _component_code(nbr, comp: int) -> int:

@@ -106,8 +106,8 @@ def default_node_budget() -> int:
 
 
 def check_node_budget(nb) -> int:
-    """``nb`` itself when it is an integer of at least 1, else ValueError."""
-    if not isinstance(nb, int) or nb < 1:
+    """``nb`` itself when it is an int (not a bool) of at least 1, else ValueError."""
+    if type(nb) is not int or nb < 1:
         raise ValueError(f"node_budget must be a positive integer, got {nb!r}")
     return nb
 
@@ -281,10 +281,7 @@ class _Solver:
         behind ``verify_decomposition``; any fault is a solver bug and
         raises."""
         edges, labels = self.edges, self.g.edge_labels()
-        nbr = [0] * self.g.n
-        for u, v in edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+        nbr = self.g.masks()
         parts, certs = [], []
         for stage, pm in enumerate(part_masks, 1):
             if pm >> self.m:   # edges past the graph would be dropped below

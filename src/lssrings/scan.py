@@ -193,8 +193,6 @@ def pruefer_decode(n: int, seq) -> Graph:
     """Labeled tree on n vertices from a Pruefer sequence (1-based entries)."""
     if n == 1:
         return Graph(1, ())
-    if n == 2:
-        return Graph.from_edges(2, [(1, 2)])
     import heapq
 
     deg = [1] * (n + 1)
@@ -219,10 +217,7 @@ def enumerate_trees(n: int):
 
     if n < 1:
         return
-    if n <= 2:
-        yield pruefer_decode(n, ())
-        return
-    for seq in product(range(1, n + 1), repeat=n - 2):
+    for seq in product(range(1, n + 1), repeat=max(n - 2, 0)):
         yield pruefer_decode(n, seq)
 
 

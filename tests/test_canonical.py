@@ -15,17 +15,15 @@ from hypothesis import strategies as st
 from networkx.generators.atlas import graph_atlas_g
 
 from lssrings import graphs
-from lssrings.graphs import canonical_form
+from lssrings.graphs import Graph, canonical_form, relabel
 
 
 def _nbr(n, edges, perm=None):
-    """Neighbour bitmasks on n vertices of 0-based edges, relabelled by perm."""
-    p = perm if perm is not None else range(n)
-    nbr = [0] * n
-    for u, v in edges:
-        nbr[p[u]] |= 1 << p[v]
-        nbr[p[v]] |= 1 << p[u]
-    return nbr
+    """Neighbour bitmasks on n vertices of 0-based edges, vertex v moved to perm[v]."""
+    g = Graph.from_edges(n, [(u + 1, v + 1) for u, v in edges])
+    if perm is not None:
+        g = relabel(g, {v + 1: p + 1 for v, p in enumerate(perm)})
+    return g.masks()
 
 
 def _atlas_without_isolated():

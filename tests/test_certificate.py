@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import lssrings
 from lssrings import groebner, kernel, posmatch
-from lssrings.graphs import complete, complete_bipartite, cycle
+from lssrings.graphs import Graph, complete, complete_bipartite, cycle
 from lssrings.pmd import (PmdDecomposition, greedy_upper_bound, pmd,
                           verify_decomposition)
 from lssrings.posmatch import (MatchingArgumentError, WeightCertificate,
@@ -63,10 +63,7 @@ def test_walk_certificate_ignores_edge_order(case, rnd):
     walk_weights gives the same weights whatever order it adds the part in."""
     n, host, part = case
     cert = walk_certificate(n, host, part)
-    nbr = [0] * n
-    for i, j in host:
-        nbr[i - 1] |= 1 << j - 1
-        nbr[j - 1] |= 1 << i - 1
+    nbr = Graph.from_edges(n, host).masks()
     pairs = [(i - 1, j - 1) for i, j in part]
     weights = posmatch.walk_weights(nbr, pairs)
     for _ in range(4):

@@ -2,13 +2,16 @@
 
 import random
 
+import networkx as nx
 import pytest
+from networkx.generators.atlas import graph_atlas_g
 
-from lssrings.graphs import (Graph, GraphFormatError, alpha, complete, cycle,
-                             degeneracy, delete_vertex, encode_graph6, family,
-                             gapped, induced_subgraph, is_bipartite,
-                             is_cycle_graph, is_forest, max_degree,
-                             parse_edge_list, parse_graph6, path, relabel, star)
+from lssrings.graphs import (Graph, GraphFormatError, alpha, complete,
+                             complete_bipartite, components, cycle, degeneracy,
+                             delete_vertex, encode_graph6, family, gapped,
+                             induced_subgraph, is_bipartite, is_cycle_graph,
+                             is_forest, max_degree, parse_edge_list,
+                             parse_graph6, path, relabel, star)
 from conftest import reference_encode_graph6
 
 EXAMPLE = "4\n1 2\n2 3\n2 4\n3 4"
@@ -79,6 +82,18 @@ def test_parse_edge_list_rejects_self_loop_and_duplicates():
         parse_edge_list("2\n1 3")
 
 
+def test_from_edges_refuses_non_integer_labels():
+    """A float endpoint used to reach the solver and fail there; a bool was
+    read as the vertex it equals."""
+    for n, pairs in ((3, [(1.0, 2), (2, 3)]), (3, [(True, 2)]), (3, [(1, "2")]),
+                     (3, [(2, False)])):
+        with pytest.raises(GraphFormatError, match="non-integer endpoint"):
+            Graph.from_edges(n, pairs)
+    for n in (3.0, True, "3", -1):
+        with pytest.raises(GraphFormatError, match="vertex count must be"):
+            Graph.from_edges(n, [])
+
+
 def test_parse_edge_list_errors_name_the_physical_line():
     """Blank and comment lines count: the bad endpoint is on line 6."""
     with pytest.raises(GraphFormatError, match=r"^line 6: non-integer endpoint in '2 x'$"):
@@ -109,6 +124,35 @@ def test_degeneracy_witness_replays():
         peak = max(peak, deg)
         alive.remove(v)
     assert peak == k
+
+
+@pytest.mark.parametrize("g, k, order", [
+    (complete_bipartite(2, 3), 2, (3, 1, 4, 2, 5)),
+    (gapped(4), 3, (5, 6, 1, 2, 3, 4)),
+    (cycle(5), 2, (1, 2, 3, 4, 5)),
+    (star(3), 1, (1, 2, 3, 4)),
+    (parse_edge_list("6\n3 1\n1 4\n4 2\n2 6\n6 3\n5 2"), 2, (5, 1, 3, 4, 2, 6)),
+    (parse_edge_list("7\n2 3\n3 4\n2 4\n6 7"), 2, (1, 5, 6, 7, 2, 3, 4)),
+])
+def test_degeneracy_order_breaks_ties_by_smallest_label(g, k, order):
+    """`invariants` prints this order, so the tie rule is part of the output."""
+    assert degeneracy(g) == (k, order)
+
+
+def test_mask_invariants_agree_with_networkx():
+    """Every atlas graph on 1..7 vertices, disconnected ones and isolated
+    vertices included."""
+    atlas = [gg for gg in graph_atlas_g() if gg.number_of_nodes()]
+    assert len(atlas) == 1252
+    for gg in atlas:
+        n = gg.number_of_nodes()
+        g = Graph.from_edges(n, [(u + 1, v + 1) for u, v in gg.edges()])
+        comps = [sum(1 << v for v in c) for c in nx.connected_components(gg) if len(c) > 1]
+        assert sorted(components(g.masks())) == sorted(comps), g
+        assert is_bipartite(g) == nx.is_bipartite(gg), g
+        assert is_forest(g) == nx.is_forest(gg), g
+        assert is_cycle_graph(g) == (n >= 3 and nx.is_isomorphic(gg, nx.cycle_graph(n))), g
+        assert degeneracy(g)[0] == max(nx.core_number(gg).values()), g
 
 
 def test_max_degree_examples():

@@ -154,7 +154,7 @@ def test_results_do_not_depend_on_the_clock(monkeypatch):
         assert res.decomposition == before.decomposition
 
 
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, True])
 def test_node_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="node_budget must be a positive integer"):
         pmd(complete(5), node_budget=budget)

@@ -138,7 +138,7 @@ def test_budget_exhausted_rows_not_counted_as_violations():
 
 def test_explicit_node_budget_below_one_is_rejected():
     from lssrings.graphs import complete
-    for budget in (0, -5):
+    for budget in (0, -5, True):
         with pytest.raises(ValueError, match="node_budget must be a positive integer"):
             scan_graph(complete(5), "K5", node_budget=budget)
         with pytest.raises(ValueError, match="node_budget must be a positive integer"):
