@@ -17,24 +17,18 @@ import os
 import sys
 
 from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
-                     family, is_bipartite, max_degree, parse_edge_list,
-                     parse_graph6, path as path_graph, star as star_graph)
+                     example, family, is_bipartite, max_degree, parse_edge_list,
+                     parse_graph6)
 from .groebner import DeskScaleExceeded
-from .pmd import pmd, verify_decomposition
-from .poly import (initial_form, lss_generators, pairwise_coprime_squarefree,
-                   ring_for, weight_from_pmd)
-from .reports import (SectionSuite, SuiteCheck, invariants_of, properties_at,
-                      threshold_table, verify_D_nonzero, verify_path_suite,
-                      verify_star_suite)
+from .pmd import pmd
+from .reports import VERIFY_SUITES, invariants_of, properties_at
 from .scan import (check_forest_pmd, enumerate_trees, iter_corpus_lines,
                    rows_to_csv, scan_corpus)
-
-EXAMPLE_GRAPH = "4\n1 2\n2 3\n2 4\n3 4"
 
 
 def load_graph(spec: str) -> Graph:
     if spec == "example":
-        return parse_edge_list(EXAMPLE_GRAPH)
+        return example()
     if os.path.exists(spec):
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -94,30 +88,23 @@ def cmd_thresholds(args) -> int:
         return 0
     print(f"n={g.n} m={g.m} delta={inv.delta} k={inv.k} alpha={inv.alpha} "
           f"pmd={inv.pmd_value} ({inv.pmd_status}) at d={args.d}")
-    table = threshold_table(g, inv)
-    for prop, verdict in report.verdicts.items():
-        mark = "guaranteed" if verdict.guaranteed else "unknown"
-        print(f"{prop:22s} {mark}")
-        needs = [rf for rf in table[prop] if rf.threshold > args.d]
-        for rf in (*verdict.rules, *needs):
-            when = "any d" if rf.threshold is None else f"d >= {rf.threshold}"
-            state = "needs" if rf in needs else "fires"
-            print(f"    [{rf.rule}] {when} ({state}) :: {rf.statement}")
+    for prop in report.table:
+        fires, needs = report.fires(prop), report.needs(prop)
+        print(f"{prop:22s} {'guaranteed' if fires else 'unknown'}")
+        for state, rules in (("fires", fires), ("needs", needs)):
+            for rf in rules:
+                when = "any d" if rf.threshold is None else f"d >= {rf.threshold}"
+                print(f"    [{rf.rule}] {when} ({state}) :: {rf.statement}")
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.n is not None and args.target not in ("star", "path"):
-        raise ValueError(f"--n applies to star and path only, not {args.target}")
-    if args.target == "star":
-        suite = verify_star_suite(3 if args.n is None else args.n)
-    elif args.target == "path":
-        suite = verify_path_suite(4 if args.n is None else args.n)
-    elif args.target == "D":
-        suite = _d_suite()
-    else:
-        suite = _example_suite()
-    return 0 if _print_suite(suite, args.json) else 1
+    suite, size = VERIFY_SUITES[args.target]
+    if size is None and args.n is not None:
+        sized = " and ".join(t for t, (_, n) in VERIFY_SUITES.items() if n is not None)
+        raise ValueError(f"--n applies to {sized} only, not {args.target}")
+    result = suite() if size is None else suite(size if args.n is None else args.n)
+    return 0 if _print_suite(result, args.json) else 1
 
 
 def _print_suite(suite, as_json: bool) -> bool:
@@ -131,39 +118,6 @@ def _print_suite(suite, as_json: bool) -> bool:
             print(line)
         print(f"{'PASS' if suite.passed else 'FAIL'} {suite.name}")
     return suite.passed
-
-
-def _d_suite() -> SectionSuite:
-    """The determinant D survives in the quotient on two small cases."""
-    return SectionSuite("D nonzero d=2", (
-        SuiteCheck("determinant nonzero: path on 3, remove vertex 3, d=2",
-                   verify_D_nonzero(path_graph(3), 3, 2)),
-        SuiteCheck("determinant nonzero: 2-leaf star, remove center, d=2",
-                   verify_D_nonzero(star_graph(2), 3, 2)),
-    ))
-
-
-def _example_suite() -> SectionSuite:
-    """End-to-end run of the worked four-vertex example."""
-    g = load_graph("example")
-    res = pmd(g)
-    checks = [
-        SuiteCheck("pmd(example) = 3", res.value == 3 and res.status == "exact",
-                   f"got {res.value}, {res.status}"),
-        SuiteCheck("decomposition verifies", verify_decomposition(g, res.decomposition)),
-    ]
-    d = 3
-    ring = ring_for(g.n, d)
-    order = weight_from_pmd(res.decomposition, ring)
-    monos = []
-    for (edge, f) in lss_generators(g, d, ring):
-        ini = initial_form(f, order)
-        monos.append(next(iter(ini.terms)))
-        checks.append(SuiteCheck(f"leading form of edge {edge} is a monomial",
-                                 len(ini) == 1, str(ini)))
-    checks.append(SuiteCheck("leading monomials pairwise coprime and squarefree",
-                             pairwise_coprime_squarefree(monos)))
-    return SectionSuite(f"example d={d}", tuple(checks))
 
 
 def cmd_scan(args) -> int:
@@ -251,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_thresholds)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("target", choices=["star", "path", "D", "example"])
+    sp.add_argument("target", choices=list(VERIFY_SUITES))
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)

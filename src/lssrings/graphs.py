@@ -65,17 +65,22 @@ class Graph:
             nbr[v] |= 1 << u
         return nbr
 
-    def degree_of(self, v: int) -> int:
-        """Degree of the 1-based vertex v."""
+    def index_of(self, v: int) -> int:
+        """The 0-based index of the 1-based vertex v, which must be an
+        ``int`` (a ``bool`` is not) in 1..n."""
+        if type(v) is not int:
+            raise GraphFormatError(f"vertex {v!r} is not an integer")
         if not 1 <= v <= self.n:
             raise GraphFormatError(f"vertex {v} outside 1..{self.n}")
-        return self.masks()[v - 1].bit_count()
+        return v - 1
+
+    def degree_of(self, v: int) -> int:
+        """Degree of the 1-based vertex v."""
+        return self.masks()[self.index_of(v)].bit_count()
 
     def neighbors_of(self, v: int) -> tuple[int, ...]:
         """Sorted 1-based neighbors of the 1-based vertex v."""
-        if not 1 <= v <= self.n:
-            raise GraphFormatError(f"vertex {v} outside 1..{self.n}")
-        nbr = self.masks()[v - 1]
+        nbr = self.masks()[self.index_of(v)]
         return tuple(w + 1 for w in range(self.n) if nbr >> w & 1)
 
     def __str__(self) -> str:
@@ -210,6 +215,11 @@ def gapped(n: int) -> Graph:
     return Graph.from_edges(2 * n - 2, pairs)
 
 
+def example() -> Graph:
+    """The worked four-vertex example: a triangle 2-3-4 with a pendant edge 1-2."""
+    return Graph.from_edges(4, [(1, 2), (2, 3), (2, 4), (3, 4)])
+
+
 _FAMILIES = {   # name -> (constructor, number of parameters)
     "star": (star, 1),
     "path": (path, 1),
@@ -328,21 +338,15 @@ def is_cycle_graph(g: Graph) -> bool:
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Remove 1-based vertex v; survivors are relabeled 1..n-1 in order."""
-    if not 1 <= v <= g.n:
-        raise GraphFormatError(f"vertex {v} outside 1..{g.n}")
-    keep = [u for u in range(g.n) if u != v - 1]
-    return induced_subgraph(g, [u + 1 for u in keep])
+    i = g.index_of(v)
+    return induced_subgraph(g, [u + 1 for u in range(g.n) if u != i])
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Induced subgraph on the given 1-based vertices, relabeled in sorted order."""
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 1 <= v <= g.n:
-            raise GraphFormatError(f"vertex {v} outside 1..{g.n}")
-    rank = {v - 1: i for i, v in enumerate(vs)}
+    rank = {u: i for i, u in enumerate(sorted({g.index_of(v) for v in vertices}))}
     edges = [(rank[u], rank[v]) for u, v in g.edges if u in rank and v in rank]
-    return Graph(len(vs), tuple(sorted(edges)))
+    return Graph(len(rank), tuple(sorted(edges)))
 
 
 def relabel(g: Graph, perm: dict[int, int]) -> Graph:

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
 from operator import add, le, sub
 
 from .poly import (Polynomial, Ring, TermOrder, grevlex_key,
                    leading_monomial)
-from .rationals import QQ
 
 MAX_VARS = 40
 MAX_BASIS = 4000
@@ -89,7 +89,7 @@ def _monic(g: Polynomial, lm) -> tuple:
     """(g over its leading coefficient, its leading monomial lm, the
     support bitmask of lm): the divisor triple that `_reduce` takes."""
     lc = g.terms[lm]
-    return (g if lc == 1 else g.scale(QQ(1) / lc)), lm, _support(lm)
+    return (g if lc == 1 else g.scale(Fraction(1, lc))), lm, _support(lm)
 
 
 def _reduce(f: Polynomial, divisors, order: TermOrder) -> Polynomial:

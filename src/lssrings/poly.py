@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over exact rationals in y[v,c] variables.
 
 A coefficient is a plain ``int`` when it is integral and a
-``fractions.Fraction`` (``QQ``) only otherwise. The sources (variables,
+``fractions.Fraction`` only otherwise. The sources (variables,
 the unit, edge quadrics, determinants) build ints, Python keeps
 int-by-int arithmetic in ``int``, and ``Polynomial.scale``, the one
 place that divides, turns every integral result back into an ``int``;
@@ -19,10 +19,10 @@ the integer stage certificates of a decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, mul, neg
 
 from .graphs import Graph
-from .rationals import QQ, rat_str
 
 
 class Ring:
@@ -117,7 +117,7 @@ class TermOrder:
 
 
 class Polynomial:
-    """Immutable-by-convention map monomial -> nonzero coefficient (int or QQ)."""
+    """Immutable-by-convention map monomial -> nonzero coefficient (int or Fraction)."""
 
     __slots__ = ("ring", "terms")
 
@@ -170,7 +170,7 @@ class Polynomial:
 
     def scale(self, q) -> "Polynomial":
         """Every coefficient times q, exactly; integral products become ints."""
-        q = QQ(q)
+        q = Fraction(q)
         out = {}
         for m, c in self.terms.items():
             x = c * q
@@ -198,11 +198,11 @@ class Polynomial:
             c = self.terms[m]
             ms = self.ring.monomial_str(m)
             if ms == "1":
-                body = rat_str(abs(c))
+                body = str(abs(c))
             elif abs(c) == 1:
                 body = ms
             else:
-                body = f"{rat_str(abs(c))}*{ms}"
+                body = f"{abs(c)}*{ms}"
             if not chunks:
                 chunks.append(("-" if c < 0 else "") + body)
             else:
@@ -217,7 +217,7 @@ class Polynomial:
                 if e:
                     t = self.ring.tokens[i]
                     mono.append([t[1], t[2], e] if t[0] == "y" else [str(t), e])
-            out.append({"coeff": rat_str(self.terms[m]), "monomial": mono})
+            out.append({"coeff": str(self.terms[m]), "monomial": mono})
         return out
 
     def __repr__(self):

@@ -20,9 +20,9 @@ stays as an independent oracle for tests and for pmd_bruteforce.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from .rationals import QQ, ZERO, common_denominator, scale_to_integers
+from fractions import Fraction
 
 
 class MatchingArgumentError(ValueError):
@@ -50,8 +50,9 @@ class Constraint:
 def make_constraint(coeffs: dict, relation: str, bound) -> Constraint:
     if relation not in (">=", "<="):
         raise ValueError(f"relation must be >= or <=, got {relation!r}")
-    items = tuple(sorted(((v, QQ(c)) for v, c in coeffs.items()), key=lambda t: repr(t[0])))
-    return Constraint(items, relation, QQ(bound))
+    items = tuple(sorted(((v, Fraction(c)) for v, c in coeffs.items()),
+                         key=lambda t: repr(t[0])))
+    return Constraint(items, relation, Fraction(bound))
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,8 @@ def solve_system(sys: LinearSystem) -> LpResult:
     factor, T = [], []
     for i, c in enumerate(sys.constraints):
         coeffs, bound = c.as_ge()
-        k = common_denominator([*coeffs.values(), bound]) * (1 if bound >= 0 else -1)
+        k = (math.lcm(*(q.denominator for q in (*coeffs.values(), bound)))
+             * (1 if bound >= 0 else -1))
         row = [0] * (ncols + 1)
         for v, q in coeffs.items():
             j = vindex[repr(v)]
@@ -161,10 +163,10 @@ def solve_system(sys: LinearSystem) -> LpResult:
                 point[b] += T[i][ncols]
             elif b < 2 * nv:
                 point[b - nv] -= T[i][ncols]
-        res = LpResult({v: QQ(x, D) for v, x in zip(variables, point)}, None)
+        res = LpResult({v: Fraction(x, D) for v, x in zip(variables, point)}, None)
     else:
         # dual values live in z under the artificial columns
-        res = LpResult(None, tuple(QQ(z[art_lo + i] * k, D) for i, k in enumerate(factor)))
+        res = LpResult(None, tuple(Fraction(z[art_lo + i] * k, D) for i, k in enumerate(factor)))
     _check_lp_result(sys, res)
     return res
 
@@ -265,8 +267,10 @@ def is_positive_matching(host_edges, part, n: int | None = None) -> PositiveMatc
     vertices = {v for e in host for v in e}
     if n is not None:
         vertices.update(range(1, n + 1))
-    weights = {v: point.get(v, ZERO) for v in vertices}
-    cert = WeightCertificate.from_map(scale_to_integers(weights))
+    weights = {v: point.get(v, 0) for v in vertices}
+    den = math.lcm(*(q.denominator for q in weights.values()))
+    cert = WeightCertificate.from_map(
+        {v: q.numerator * (den // q.denominator) for v, q in weights.items()})
     if not check_certificate(host, m, cert):
         raise RuntimeError("LP point does not certify the matching")
     return PositiveMatchingResult("positive", cert)

@@ -1,5 +1,6 @@
 """Threshold rule engine, the family knowledge base, and the desk-scale
-verification suites for the quotient-ring identities.
+verification suites for the quotient-ring identities (``VERIFY_SUITES``:
+star, path, D and the worked example).
 
 Every guarantee comes from one rule table, ``_RULES``, and cites the
 rows whose threshold is at most d; rules derived from the pmd bound and
@@ -9,15 +10,16 @@ conjecture-status facts never justify a guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import (Graph, degeneracy, is_cycle_graph, is_forest, max_degree,
-                     path as path_graph, star as star_graph)
+from .graphs import (Graph, degeneracy, example, is_cycle_graph, is_forest,
+                     max_degree, path as path_graph, star as star_graph)
 from .groebner import (DeskScaleExceeded, buchberger, ci_multiplicity,
                        dim_and_multiplicity, ideal_intersection, ideal_member,
                        initial_ideal, normal_form)
-from .pmd import pmd as solve_pmd
-from .poly import TermOrder, lss_generators, matrix_D, ring_for, yvar
+from .pmd import pmd as solve_pmd, verify_decomposition
+from .poly import (TermOrder, initial_form, lss_generators, matrix_D,
+                   pairwise_coprime_squarefree, ring_for, weight_from_pmd, yvar)
 
 PROPERTIES = ("radical", "complete_intersection", "prime", "irreducible",
               "strongly_f_regular", "ufd", "normal")
@@ -54,24 +56,25 @@ class RuleFiring:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    rules: tuple[RuleFiring, ...] = ()
-
-    @property
-    def guaranteed(self) -> bool:
-        return bool(self.rules)
-
-
-@dataclass(frozen=True)
 class PropertyReport:
     n: int
     m: int
     d: int
     invariants: GraphInvariants
-    verdicts: dict = field(default_factory=dict)
+    table: dict      # the graph's threshold_table
+
+    def fires(self, prop: str) -> tuple[RuleFiring, ...]:
+        """The rows of ``prop`` whose threshold is at most d (None: any d)."""
+        return tuple(rf for rf in self.table[prop]
+                     if rf.threshold is None or rf.threshold <= self.d)
+
+    def needs(self, prop: str) -> tuple[RuleFiring, ...]:
+        """The rows of ``prop`` that fire only above d."""
+        return tuple(rf for rf in self.table[prop]
+                     if rf.threshold is not None and rf.threshold > self.d)
 
     def guaranteed(self, prop: str) -> bool:
-        return self.verdicts[prop].guaranteed
+        return bool(self.fires(prop))
 
     def to_json(self) -> dict:
         return {
@@ -81,12 +84,12 @@ class PropertyReport:
             "pmd_status": self.invariants.pmd_status,
             "verdicts": {
                 prop: {
-                    "verdict": "guaranteed" if v.guaranteed else "unknown",
+                    "verdict": "guaranteed" if self.guaranteed(prop) else "unknown",
                     "rules": [{"rule": r.rule, "threshold": r.threshold,
                                "citation": r.statement, "source": r.source}
-                              for r in v.rules],
+                              for r in self.fires(prop)],
                 }
-                for prop, v in self.verdicts.items()
+                for prop in self.table
             },
         }
 
@@ -137,19 +140,18 @@ _RULES = (
 
 
 def properties_at(g: Graph, d: int, inv: GraphInvariants) -> PropertyReport:
-    """Fire every rule whose threshold is at most d."""
-    if g.m == 0:
-        rf = RuleFiring("polynomial-ring", None,
-                        "no edges: the quotient is the polynomial ring itself")
-        return PropertyReport(g.n, 0, d, inv,
-                              {p: Verdict((rf,)) for p in PROPERTIES})
-    verdicts = {p: Verdict(tuple(rf for rf in rs if rf.threshold <= d))
-                for p, rs in threshold_table(g, inv).items()}
-    return PropertyReport(g.n, g.m, d, inv, verdicts)
+    """The report at d on the graph's threshold table: a rule fires when
+    its threshold is at most d."""
+    return PropertyReport(g.n, g.m, d, inv, threshold_table(g, inv))
 
 
 def threshold_table(g: Graph, inv: GraphInvariants) -> dict:
-    """Per property, every applicable rule with its minimal firing d."""
+    """Per property, every applicable rule with its minimal firing d; an
+    edgeless graph has the one row polynomial-ring, which fires at any d."""
+    if g.m == 0:
+        rf = RuleFiring("polynomial-ring", None,
+                        "no edges: the quotient is the polynomial ring itself")
+        return {p: [rf] for p in PROPERTIES}
     table: dict[str, list[RuleFiring]] = {p: [] for p in PROPERTIES}
     for rule, thresh, grants, stmt, src in _RULES:
         t = thresh(g, inv)
@@ -364,3 +366,45 @@ def verify_D_nonzero(g: Graph, v: int, d: int) -> bool:
     det = matrix_D(g, v, d, ring)
     gb = buchberger([f for _, f in lss_generators(g, d, ring)], order)
     return not normal_form(det, gb.generators, order).is_zero()
+
+
+def verify_D_suite() -> SectionSuite:
+    """The determinant D survives in the quotient on two small cases."""
+    return SectionSuite("D nonzero d=2", (
+        SuiteCheck("determinant nonzero: path on 3, remove vertex 3, d=2",
+                   verify_D_nonzero(path_graph(3), 3, 2)),
+        SuiteCheck("determinant nonzero: 2-leaf star, remove center, d=2",
+                   verify_D_nonzero(star_graph(2), 3, 2)),
+    ))
+
+
+def verify_example_suite() -> SectionSuite:
+    """End-to-end run of the worked four-vertex example."""
+    g = example()
+    res = solve_pmd(g)
+    checks = [
+        SuiteCheck("pmd(example) = 3", res.value == 3 and res.status == "exact",
+                   f"got {res.value}, {res.status}"),
+        SuiteCheck("decomposition verifies", verify_decomposition(g, res.decomposition)),
+    ]
+    d = 3
+    ring = ring_for(g.n, d)
+    order = weight_from_pmd(res.decomposition, ring)
+    monos = []
+    for (edge, f) in lss_generators(g, d, ring):
+        ini = initial_form(f, order)
+        monos.append(next(iter(ini.terms)))
+        checks.append(SuiteCheck(f"leading form of edge {edge} is a monomial",
+                                 len(ini) == 1, str(ini)))
+    checks.append(SuiteCheck("leading monomials pairwise coprime and squarefree",
+                             pairwise_coprime_squarefree(monos)))
+    return SectionSuite(f"example d={d}", tuple(checks))
+
+
+# verify target -> (suite, its default size, or None for a suite without one)
+VERIFY_SUITES = {
+    "star": (verify_star_suite, 3),
+    "path": (verify_path_suite, 4),
+    "D": (verify_D_suite, None),
+    "example": (verify_example_suite, None),
+}

@@ -70,14 +70,9 @@ class ScanSummary:
     slowest_ms: float
 
     def to_json(self) -> dict:
-        return {
-            "total": self.total, "exact": self.exact,
-            "budget_exhausted": self.budget_exhausted,
-            "parse_errors": self.parse_errors,
-            "solver_errors": self.solver_errors, "violations": self.violations,
-            "max_gap": self.max_gap, "slowest_id": self.slowest_id,
-            "slowest_ms": int(self.slowest_ms),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["slowest_ms"] = int(self.slowest_ms)
+        return out
 
 
 def scan_graph(g: Graph, gid: str, node_budget=None, stable_ms: bool = False) -> ScanRow:

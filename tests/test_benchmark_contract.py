@@ -7,11 +7,13 @@ them breaks traced benchmark runs, so this test fails first. The
 benchmark files are only imported, never changed.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lssrings"
 BENCH_MODULES = ("run", "tracing", "workloads", "checks", "inputs")
 
 
@@ -37,3 +39,19 @@ def test_benchmark_bindings_resolve(monkeypatch):
     finally:
         for name in BENCH_MODULES:
             sys.modules.pop(name, None)
+
+
+def test_rationals_is_only_the_benchmark_backend_name():
+    """rationals.py holds BACKEND and nothing else, and no program module
+    imports it: exact numbers are fractions.Fraction, called directly."""
+    rationals = importlib.import_module("lssrings.rationals")
+    assert [k for k in vars(rationals) if not k.startswith("__")] == ["BACKEND"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(n.split(".")[-1] == "rationals" for n in names), path.name

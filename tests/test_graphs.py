@@ -8,7 +8,7 @@ from networkx.generators.atlas import graph_atlas_g
 
 from lssrings.graphs import (Graph, GraphFormatError, alpha, complete,
                              complete_bipartite, components, cycle, degeneracy,
-                             delete_vertex, encode_graph6, family, gapped,
+                             delete_vertex, encode_graph6, example, family, gapped,
                              induced_subgraph, is_bipartite, is_cycle_graph,
                              is_forest, max_degree, parse_edge_list,
                              parse_graph6, path, relabel, star)
@@ -66,6 +66,7 @@ def test_parse_edge_list_example_graph():
     g = parse_edge_list(EXAMPLE)
     assert g.n == 4
     assert g.edge_labels() == ((1, 2), (2, 3), (2, 4), (3, 4))
+    assert example() == g
 
 
 def test_parse_edge_list_k2():
@@ -206,6 +207,25 @@ def test_delete_vertex_and_induced():
     assert edgeless.m == 0
     empty = induced_subgraph(s, [])
     assert empty.n == 0 and empty.m == 0
+
+
+def test_vertex_arguments_must_be_int_labels_in_range():
+    """degree_of, neighbors_of, delete_vertex and induced_subgraph take
+    1-based int labels only: a bool, a float or an out-of-range label is a
+    GraphFormatError, not a silent answer for some other vertex."""
+    k3 = complete(3)
+    for bad in (True, False, 2.0, 1.5, "2", 0, 4, -1):
+        with pytest.raises(GraphFormatError, match="vertex"):
+            k3.degree_of(bad)
+        with pytest.raises(GraphFormatError, match="vertex"):
+            k3.neighbors_of(bad)
+        with pytest.raises(GraphFormatError, match="vertex"):
+            delete_vertex(k3, bad)
+        with pytest.raises(GraphFormatError, match="vertex"):
+            induced_subgraph(k3, [bad, 2])
+    assert k3.degree_of(2) == 2 and k3.neighbors_of(2) == (1, 3)
+    assert delete_vertex(k3, 1) == complete(2)
+    assert induced_subgraph(k3, [3, 2, 3]) == complete(2)
 
 
 def test_degeneracy_at_most_max_degree_full_corpus(connected_n6, all_n5):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from fractions import Fraction as QQ
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,6 @@ from lssrings.pmd import pmd
 from lssrings.poly import (Polynomial, Ring, TermOrder, initial_form,
                            leading_monomial, lss_generators, matrix_D, ring_for,
                            weight_from_pmd, yvar)
-from lssrings.rationals import QQ
 from lssrings.reports import verify_D_nonzero
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")

@@ -1,6 +1,7 @@
 """Polynomials, term orders, the edge quadrics, and the weight construction."""
 
 import random
+from fractions import Fraction as QQ
 
 import pytest
 
@@ -10,7 +11,6 @@ from lssrings.poly import (Polynomial, TermOrder, initial_form,
                            leading_monomial, lss_generators, matrix_D,
                            pairwise_coprime_squarefree, ring_for,
                            weight_from_pmd, yvar)
-from lssrings.rationals import QQ
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
 

@@ -1,6 +1,7 @@
 """LP feasibility, Farkas witnesses, certificates, and the FM cross-oracle."""
 
 import random
+from fractions import Fraction as QQ
 
 import pytest
 
@@ -12,7 +13,6 @@ from lssrings.posmatch import (LpResult, MatchingArgumentError,
                                is_positive_matching, lp_feasible,
                                make_constraint, positive_matching_system,
                                solve_system, system)
-from lssrings.rationals import QQ
 
 EXAMPLE_EDGES = [(1, 2), (2, 3), (2, 4), (3, 4)]
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]

@@ -59,7 +59,7 @@ def test_edgeless_reports_polynomial_ring():
     rep = properties_at(g, 1, _inv(g))
     for p in PROPERTIES:
         assert rep.guaranteed(p)
-        assert rep.verdicts[p].rules[0].rule == "polynomial-ring"
+        assert rep.fires(p)[0].rule == "polynomial-ring"
 
 
 def test_unknown_pmd_disables_pmd_rules():
@@ -139,7 +139,7 @@ def test_c6_knowledge_base_grant():
     inv = _inv(c6)
     rep3 = properties_at(c6, 3, inv)
     assert rep3.guaranteed("prime")
-    rules = {rf.rule: rf.threshold for rf in rep3.verdicts["prime"].rules}
+    rules = {rf.rule: rf.threshold for rf in rep3.fires("prime")}
     assert rules == {"six-cycle": 3}
     rep2 = properties_at(c6, 2, inv)
     assert not rep2.guaranteed("prime")
@@ -147,7 +147,7 @@ def test_c6_knowledge_base_grant():
     rep = properties_at(TWO_K3, 3, _inv(TWO_K3))
     assert not rep.guaranteed("prime")
     assert all(rf.rule != "six-cycle"
-               for v in rep.verdicts.values() for rf in v.rules)
+               for p in PROPERTIES for rf in rep.fires(p))
 
 
 def test_every_guarantee_cites_a_rule_that_fires(connected_n6):
@@ -155,8 +155,8 @@ def test_every_guarantee_cites_a_rule_that_fires(connected_n6):
         inv = _inv(g)
         for d in range(1, inv.pmd_value + inv.k + 3):
             rep = properties_at(g, d, inv)
-            for p, v in rep.verdicts.items():
-                assert all(rf.threshold <= d for rf in v.rules), (g, d, p)
+            for p in PROPERTIES:
+                assert all(rf.threshold <= d for rf in rep.fires(p)), (g, d, p)
 
 
 def test_no_conjecture_justifies_guarantee(connected_n6):
@@ -166,8 +166,8 @@ def test_no_conjecture_justifies_guarantee(connected_n6):
         inv = _inv(g)
         for d in (1, 3, inv.pmd_value + inv.k + 1):
             rep = properties_at(g, d, inv)
-            for p, v in rep.verdicts.items():
-                for rf in v.rules:
+            for p in PROPERTIES:
+                for rf in rep.fires(p):
                     assert "conjecture" not in rf.statement.lower()
 
 

@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
-from lssrings import cli, scan
+from lssrings import cli, reports, scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
 from lssrings.pmd import default_node_budget
+from lssrings.reports import (PROPERTIES, VERIFY_SUITES, invariants_of,
+                              threshold_table)
 from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
                            enumerate_trees, pruefer_decode, rows_to_csv,
                            scan_corpus, scan_graph)
@@ -227,6 +229,49 @@ def test_cli_thresholds_cites_the_six_cycle_rule_under_prime(capsys):
     assert "[pmd-prime] d >= 4 (needs)" in prime
 
 
+def test_cli_thresholds_lines_are_the_threshold_table(all_n5, capsys):
+    """On every graph with n <= 5 and every d in 1..8, each property lists as
+    "fires" the rows of threshold_table with threshold <= d (None: any d)
+    and as "needs" the rows with threshold > d, and is guaranteed exactly
+    when some row fires."""
+    for g in all_n5:
+        table = threshold_table(g, invariants_of(g))
+        for d in range(1, 9):
+            assert cli_main(["thresholds", encode_graph6(g), "--d", str(d)]) == 0
+            lines = capsys.readouterr().out.splitlines()[1:]
+            want = []
+            for p in PROPERTIES:
+                fires = [rf for rf in table[p] if rf.threshold is None or rf.threshold <= d]
+                needs = [rf for rf in table[p] if rf.threshold is not None and rf.threshold > d]
+                want.append(f"{p:22s} {'guaranteed' if fires else 'unknown'}")
+                for state, rows in (("fires", fires), ("needs", needs)):
+                    for rf in rows:
+                        when = "any d" if rf.threshold is None else f"d >= {rf.threshold}"
+                        want.append(f"    [{rf.rule}] {when} ({state}) :: {rf.statement}")
+            assert lines == want, (encode_graph6(g), d)
+
+
+def test_cli_thresholds_of_an_edgeless_graph_fire_at_any_d(capsys):
+    assert cli_main(["thresholds", "A?", "--d", "1"]) == 0
+    out = capsys.readouterr().out
+    line = ("    [polynomial-ring] any d (fires) :: "
+            "no edges: the quotient is the polynomial ring itself")
+    assert out.count(f"\n{line}\n") == len(PROPERTIES)
+    assert "(needs)" not in out and "unknown" not in out
+
+
+def test_cli_verify_choices_are_the_suite_table(capsys):
+    """Every verify target has a suite; the suites without a size refuse --n."""
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    target = next(a for a in sub.choices["verify"]._actions if a.dest == "target")
+    assert list(target.choices) == list(VERIFY_SUITES) == ["star", "path", "D", "example"]
+    unsized = [t for t, (_, size) in VERIFY_SUITES.items() if size is None]
+    assert unsized == ["D", "example"]
+    for t in unsized:
+        assert cli_main(["verify", t, "--n", "4"]) == 1
+        assert capsys.readouterr().err == f"error: --n applies to star and path only, not {t}\n"
+
+
 def test_cli_verify_star_path_d_example(capsys):
     for target in ("star", "D", "example"):
         assert cli_main(["verify", target]) == 0, target
@@ -247,7 +292,7 @@ def test_cli_verify_json_on_every_target(capsys, monkeypatch):
         assert text[target] == [f"PASS {c['name']}" + (f" ({c['detail']})" if c["detail"] else "")
                                 for c in doc["checks"]] + [f"PASS {doc['suite']}"], target
     assert text["example"][0].startswith("PASS pmd(example) = 3")
-    monkeypatch.setattr(cli, "verify_D_nonzero", lambda g, v, d: False)
+    monkeypatch.setattr(reports, "verify_D_nonzero", lambda g, v, d: False)
     assert cli_main(["verify", "D", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["passed"] is False
 
