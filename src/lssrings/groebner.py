@@ -235,10 +235,8 @@ def buchberger(gens, order: TermOrder) -> IdealBasis:
             heappush(queue, entry(k, new))
             pending.add((k, new))
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep = [divisors[i] for i in range(len(lms))
-            if not any(k != i and _divides(lms[k], lms[i])
-                       and (lms[k] != lms[i] or k < i) for k in range(len(lms)))]
+    # minimal basis: the first element with each minimal lead
+    keep = [next(d for d in divisors if d[1] == lm) for lm in minimalize(lms)]
     # tail-reduce each element against the others, by decreasing lead; no
     # other kept lead divides an element's monic lead term, so it stays,
     # and with it the element's lead and mask

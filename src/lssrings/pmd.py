@@ -43,7 +43,6 @@ pmd_bruteforce.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -94,15 +93,6 @@ class PmdResult:
         out = {"value": self.value, "status": self.status, "nodes": self.nodes}
         out.update(self.decomposition.to_json())
         return out
-
-
-def default_node_budget() -> int:
-    env = os.environ.get("LSS_BUDGET_NODES", "").strip()
-    if not env:
-        return DEFAULT_NODE_BUDGET
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"LSS_BUDGET_NODES must be a positive integer, got {env!r}")
-    return int(env)
 
 
 def check_node_budget(nb) -> int:
@@ -310,13 +300,13 @@ class _Solver:
 
 def pmd(g: Graph, node_budget: int | None = None) -> PmdResult:
     """Exact pmd with certificates, degrading to an upper bound once the
-    search passes ``node_budget`` nodes, its only stop: the clock times
-    ``ms`` and nothing else. Single-task and deterministic; corpus-level
-    parallelism lives in the scan harness. A node budget other than an
-    integer of at least 1 raises ValueError."""
+    search passes ``node_budget`` nodes (None: ``DEFAULT_NODE_BUDGET``),
+    its only stop: the clock times ``ms`` and nothing else. Single-task
+    and deterministic; corpus-level parallelism lives in the scan harness.
+    A node budget other than an integer of at least 1 raises ValueError."""
     t0 = time.monotonic()
-    nb = check_node_budget(node_budget if node_budget is not None
-                           else default_node_budget())
+    nb = check_node_budget(DEFAULT_NODE_BUDGET if node_budget is None
+                           else node_budget)
     s = _Solver(g, nb)
     best = s.forest_parts() or s.greedy_parts()
     status = "exact"

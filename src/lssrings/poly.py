@@ -162,12 +162,6 @@ class Polynomial:
                     out[m] = s
         return Polynomial(self.ring, out)
 
-    def __pow__(self, k: int):
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def scale(self, q) -> "Polynomial":
         """Every coefficient times q, exactly; integral products become ints."""
         q = Fraction(q)
@@ -186,9 +180,8 @@ class Polynomial:
         return (isinstance(other, Polynomial) and self.ring == other.ring
                 and self.terms == other.terms)
 
-    def sorted_monomials(self, order: TermOrder | None = None):
-        order = order or TermOrder.grevlex(self.ring)
-        return sorted(self.terms, key=order.key, reverse=True)
+    def sorted_monomials(self):
+        return sorted(self.terms, key=grevlex_key, reverse=True)
 
     def __str__(self):
         if not self.terms:

@@ -209,9 +209,8 @@ class WeightCertificate:
     def as_map(self) -> dict[int, int]:
         return dict(self.weights)
 
-    def to_json(self, part: int | None = None) -> dict:
-        d = {str(v): str(w) for v, w in self.weights}
-        return {"part": part, "weights": d} if part is not None else {"weights": d}
+    def to_json(self, part: int) -> dict:
+        return {"part": part, "weights": {str(v): str(w) for v, w in self.weights}}
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ whose search ran out of its node budget keep their upper bound but are
 excluded from violation accounting, so a stopped search can never
 masquerade as a counterexample. A graph whose solve raises becomes a
 ``solver_error`` row and the scan goes on. Violations of the open
-inequality pmd <= alpha are findings, not errors; a forest with
-pmd != degree is a solver bug and is treated as a hard failure.
+inequality pmd <= alpha are findings, not errors. Scan rows carry no
+forest check: only ``check_forest_pmd`` (``lssrings trees --check``)
+fails on a forest with pmd != degree, which would be a solver bug.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 
 from .graphs import (Graph, GraphFormatError, degeneracy, encode_graph6,
                      is_bipartite, max_degree, parse_graph6)
-from .pmd import check_node_budget, default_node_budget
+from .pmd import check_node_budget
 from .pmd import pmd as solve_pmd
 
 CSV_SCHEMA_VERSION = 1
@@ -139,10 +140,11 @@ def scan_corpus(lines, node_budget=None, jobs: int = 1,
     """Scan graph6 lines; returns (rows, summary) in input order. Parse
     failures and solver exceptions become per-line error rows and the
     scan continues; graphs over max_n vertices yield no row. Each line is
-    parsed once, by the worker. An invalid node budget, given or from
-    LSS_BUDGET_NODES, raises ValueError before any graph runs."""
-    node_budget = check_node_budget(default_node_budget() if node_budget is None
-                                    else node_budget)
+    parsed once, by the worker. A node budget of None means pmd's
+    default; any other that is not an integer of at least 1 raises
+    ValueError before any graph runs."""
+    if node_budget is not None:
+        check_node_budget(node_budget)
     work = [(line, node_budget, stable_ms, max_n) for line in lines]
     if jobs > 1 and len(work) > 1:
         import multiprocessing

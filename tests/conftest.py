@@ -96,3 +96,20 @@ def reference_encode_graph6(g: Graph) -> str:
     for k in range(0, len(bits), 6):
         chars.append(chr(63 + int(bits[k:k + 6], 2)))
     return "".join(chars)
+
+
+def all_matchings(edges) -> list[frozenset]:
+    """Every matching of the edge list (the empty one first), as frozensets."""
+    edges = sorted(edges)
+    out = [frozenset()]
+
+    def rec(cur, used, start):
+        for idx in range(start, len(edges)):
+            i, j = edges[idx]
+            if i in used or j in used:
+                continue
+            out.append(frozenset(cur | {(i, j)}))
+            rec(cur | {(i, j)}, used | {i, j}, idx + 1)
+
+    rec(set(), set(), 0)
+    return out

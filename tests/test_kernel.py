@@ -4,6 +4,7 @@ import random
 
 from lssrings import kernel
 from lssrings.posmatch import is_positive_matching
+from conftest import all_matchings
 
 
 def _verdict(impl, n, host, part):
@@ -15,28 +16,12 @@ def _verdict(impl, n, host, part):
     return impl(mate, [u - 1 for u, _ in rest], [v - 1 for _, v in rest])
 
 
-def _all_matchings(edges):
-    edges = sorted(edges)
-    out = [frozenset()]
-
-    def rec(cur, used, start):
-        for idx in range(start, len(edges)):
-            i, j = edges[idx]
-            if i in used or j in used:
-                continue
-            out.append(frozenset(cur | {(i, j)}))
-            rec(cur | {(i, j)}, used | {i, j}, idx + 1)
-
-    rec(set(), set(), 0)
-    return out
-
-
 def test_filter_matches_lp_exactly(all_n5):
     """Acyclic iff the strict system is feasible, on the full small corpus."""
     rng = random.Random(3)
     for g in all_n5:
         host = list(g.edge_labels())
-        matchings = _all_matchings(host)
+        matchings = all_matchings(host)
         if len(matchings) > 24:
             matchings = rng.sample(matchings, 24)
         for m in matchings:

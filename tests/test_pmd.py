@@ -141,7 +141,6 @@ def test_budget_stop_keeps_the_greedy_seed(budget):
 def test_results_do_not_depend_on_the_clock(monkeypatch):
     """The node budget is the only stop: a clock that jumps an hour on
     every read changes no value, status, node count or decomposition."""
-    monkeypatch.delenv("LSS_BUDGET_NODES", raising=False)
     cases = [(complete(7), None, (11, "exact", 1019)),
              (complete(9), 5000, (15, "upper_bound_only", 5001))]
     steady = [pmd(g, node_budget=nb) for g, nb, _ in cases]

@@ -13,6 +13,7 @@ from lssrings.posmatch import (LpResult, MatchingArgumentError,
                                is_positive_matching, lp_feasible,
                                make_constraint, positive_matching_system,
                                solve_system, system)
+from conftest import all_matchings
 
 EXAMPLE_EDGES = [(1, 2), (2, 3), (2, 4), (3, 4)]
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
@@ -117,22 +118,6 @@ def test_normalized_solution_is_strict_and_scales():
         assert scaled[i] + scaled[j] <= -1
 
 
-def _all_matchings(edges):
-    edges = sorted(edges)
-    out = [frozenset()]
-
-    def rec(cur, used, start):
-        for idx in range(start, len(edges)):
-            i, j = edges[idx]
-            if i in used or j in used:
-                continue
-            out.append(frozenset(cur | {(i, j)}))
-            rec(cur | {(i, j)}, used | {i, j}, idx + 1)
-
-    rec(set(), set(), 0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination (independent oracle, small systems only)
 
@@ -189,7 +174,7 @@ def test_cross_oracle_simplex_vs_fourier_motzkin(connected_n6):
         if g.n > 5 and rng.random() < 0.8:
             continue                      # keep the n=6 sample small
         host = list(g.edge_labels())
-        matchings = _all_matchings(host)
+        matchings = all_matchings(host)
         if len(matchings) > 12:
             matchings = rng.sample(matchings, 12)
         for m in matchings:
@@ -204,7 +189,7 @@ def test_infeasibility_monotone_under_host_growth(connected_n6):
     rng = random.Random(11)
     for g in [x for x in connected_n6 if 4 <= x.n <= 5][:12]:
         host = list(g.edge_labels())
-        for m in _all_matchings(host):
+        for m in all_matchings(host):
             if not m or len(m) < 2:
                 continue
             sub = [e for e in host if e in m or rng.random() < 0.5]
@@ -216,7 +201,7 @@ def test_farkas_witness_on_every_infeasible_system(connected_n6):
     rng = random.Random(13)
     for g in rng.sample([x for x in connected_n6 if x.n >= 4], 10):
         host = list(g.edge_labels())
-        for m in _all_matchings(host)[:20]:
+        for m in all_matchings(host)[:20]:
             sys = positive_matching_system(host, m)
             res = solve_system(sys)
             if res.point is None:
@@ -341,7 +326,7 @@ def test_fraction_free_tableau_matches_rational_reference(all_n5):
     verdicts = set()
     for g in all_n5:
         host = list(g.edge_labels())
-        for m in _all_matchings(host):
+        for m in all_matchings(host):
             verdicts.add(_assert_same_as_reference(positive_matching_system(host, m)))
     rng = random.Random(2024)
     for _ in range(60):

@@ -9,7 +9,7 @@ import pytest
 from lssrings import cli, reports, scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
-from lssrings.pmd import default_node_budget
+from lssrings.pmd import pmd
 from lssrings.reports import (PROPERTIES, VERIFY_SUITES, invariants_of,
                               threshold_table)
 from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
@@ -147,11 +147,24 @@ def test_explicit_node_budget_below_one_is_rejected():
             scan_corpus([encode_graph6(complete(5))], node_budget=budget)
 
 
-def test_budget_env_override(monkeypatch):
+def test_the_environment_does_not_set_the_budget(tmp_path, capsys, monkeypatch):
+    """The node budget is only an argument: LSS_BUDGET_NODES, a small
+    value or not a number, changes neither a solve nor a scan."""
     from lssrings.graphs import complete
-    monkeypatch.setenv("LSS_BUDGET_NODES", "2")
-    row = scan_graph(complete(6), "K6", stable_ms=True)
-    assert row.status == "upper_bound_only"
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(f"A_\nC~\n{encode_graph6(complete(6))}\n", encoding="utf-8")
+
+    def run():
+        res = pmd(complete(6))
+        code = cli_main(["scan", str(corpus), "--stable"])
+        return (res.value, res.status, res.nodes), code, capsys.readouterr()
+
+    monkeypatch.delenv("LSS_BUDGET_NODES", raising=False)
+    unset = run()
+    assert unset[0][:2] == (9, "exact") and unset[1] == 0
+    for value in ("2", "abc"):
+        monkeypatch.setenv("LSS_BUDGET_NODES", value)
+        assert run() == unset
 
 
 def test_tree_counts():
@@ -340,19 +353,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 1
 
 
-def test_invalid_node_budget_stops_the_scan(tmp_path, capsys, monkeypatch):
+def test_invalid_node_budget_stops_the_scan(tmp_path, capsys):
     corpus = tmp_path / "corpus.g6"
     corpus.write_text("A_\nC~\n", encoding="utf-8")
-    for value in ("abc", "-5", "0"):
-        monkeypatch.setenv("LSS_BUDGET_NODES", value)
-        with pytest.raises(ValueError, match="LSS_BUDGET_NODES"):
-            default_node_budget()
-        assert cli_main(["scan", str(corpus), "--stable"]) == 1
-        captured = capsys.readouterr()
-        assert not captured.out
-        assert captured.err == ("error: LSS_BUDGET_NODES must be a positive "
-                                f"integer, got {value!r}\n")
-    monkeypatch.delenv("LSS_BUDGET_NODES")
     for flag, value in (("--budget", "-5"), ("--budget", "abc"), ("--jobs", "0")):
         with pytest.raises(SystemExit) as exc:
             cli_main(["scan", str(corpus), flag, value])
