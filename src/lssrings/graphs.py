@@ -362,10 +362,25 @@ def canonical_form(nbr) -> tuple[int, ...]:
     """Isomorphism key of the graph whose 0-based neighbour bitmasks are
     ``nbr``, ignoring isolated vertices: two graphs get equal keys exactly
     when they are isomorphic once their isolated vertices are dropped.
+    It is the key half of ``canonical_labelling``, which explains the
+    search."""
+    return canonical_labelling(nbr)[0]
+
+
+def canonical_labelling(nbr) -> tuple[tuple[int, ...], tuple[int, ...],
+                                      tuple[tuple[int, ...], ...]]:
+    """(key, order, generators) of the graph whose 0-based neighbour
+    bitmasks are ``nbr``, ignoring isolated vertices.
 
     The key is the sorted tuple of the codes of the connected components
     (the edge-free graph has the empty key). Keyed one by one, k disjoint
     edges need k leaves; keyed as one graph, they would need 2^(k-1) k!.
+    ``order`` lists the vertices that have an edge, component by
+    component in the order of the key: renumbering them 0, 1, ... in
+    that order turns each component into the graph its code encodes.
+    ``generators`` are automorphisms, each the image list of all
+    ``len(nbr)`` vertices with the isolated ones fixed; they generate the
+    automorphism group of the graph without its isolated vertices.
 
     The code of a component is the least adjacency code over the leaves of
     a search tree. The root is the colour refinement of its vertices; a
@@ -381,79 +396,190 @@ def canonical_form(nbr) -> tuple[int, ...]:
     The code of a vertex order v_1..v_k is the integer with a leading 1 bit
     followed by row i of the reordered adjacency matrix for i = 1..k, so
     its bit length fixes k.
+
+    Orbit pruning (McKay and Piperno, "Practical graph isomorphism, II",
+    J. Symbolic Comput. 2014) skips children without changing the code.
+    Two leaves with equal codes give an automorphism, leaf order to leaf
+    order; so does every permutation inside a cell of a leaf. At a node
+    whose individualised vertices an automorphism g fixes, g maps the
+    node to itself and the subtree of child b onto the subtree of child
+    g(b), leaf to leaf with equal codes, because refinement and the leaf
+    rule do not look at labels. So a child in the orbit of an explored
+    sibling, under the automorphisms found so far that fix the node's
+    individualised vertices, holds only codes the search has already
+    seen, and the least code survives. The generators are the ones from
+    the first leaf's cells and from every leaf whose code repeats an
+    earlier one: a singleton cell keeps its place in the vertex order, so
+    the map from the first leaf to a later one fixes the individualised
+    vertices the two share and sends the first leaf's next vertex to the
+    later one's. Each explored child of a node on the first path that the
+    group could reach thus yields one such map, and with the first
+    leaf's cell permutations they generate the group, as in McKay's
+    "Practical graph isomorphism" (Congr. Numer. 1981). Isomorphic
+    components add the swap of each one with the next.
     """
-    return tuple(sorted(_component_code(nbr, comp) for comp in components(nbr)))
+    parts = sorted(_component_labelling(nbr, comp) for comp in components(nbr))
+    gens = [g for _, _, autos in parts for g in autos]
+    for (code, src, _), (other, dst, _) in zip(parts, parts[1:]):
+        if code == other:
+            gens.append(_permutation(len(nbr), src + dst, dst + src))
+    return (tuple(code for code, _, _ in parts),
+            tuple(v for _, order, _ in parts for v in order),
+            tuple(map(tuple, gens)))
 
 
-def _component_code(nbr, comp: int) -> int:
-    best = None
-    stack = [_refine(nbr, [comp])]
-    while stack:
-        cells = stack.pop()
+def _component_labelling(nbr, comp: int) -> tuple[int, list[int], list[list[int]]]:
+    """(least leaf code, the first leaf order with it, automorphisms found)
+    of the component on the vertex mask ``comp``; see ``canonical_labelling``."""
+    first: dict[int, list[int]] = {}      # leaf code -> first leaf order with it
+    autos: list[list[int]] = []
+
+    def visit(cells: list[int], fixed: list[int]):
         split = _split_cell(nbr, cells)
         if split is None:
-            code = _adjacency_code(nbr, cells)
-            if best is None or code < best:
-                best = code
-            continue
+            order = _leaf_order(cells)
+            known = first.setdefault(_adjacency_code(nbr, order), order)
+            if known is not order:
+                autos.append(_permutation(len(nbr), known, order))
+            elif len(first) == 1:
+                for c in cells:
+                    if c & (c - 1):      # a cycle and a transposition span Sym(c)
+                        cell = _leaf_order([c])
+                        autos.append(_permutation(len(nbr), cell, cell[1:] + cell[:1]))
+                        if len(cell) > 2:
+                            autos.append(_permutation(len(nbr), cell[:2], cell[1::-1]))
+            return
         c = cells[split]
+        head, tail = cells[:split], cells[split + 1:]
+        orbit, fixing, seen = 0, [], 0    # explored children's orbit; its generators
         rest = c
         while rest:
             b = rest & -rest
-            stack.append(_refine(nbr, cells[:split] + [b, c ^ b] + cells[split + 1:]))
             rest ^= b
-    return best
+            if seen < len(autos):
+                fixing += [g for g in autos[seen:] if all(g[v] == v for v in fixed)]
+                seen = len(autos)
+            if fixing:
+                orbit = _orbit(orbit, fixing)
+            if orbit & b:
+                continue
+            visit(_refine(nbr, head + [b, c ^ b] + tail, [b]), fixed + [b.bit_length() - 1])
+            orbit |= b
+
+    visit(_refine(nbr, [comp], [comp]), [])
+    code = min(first)
+    return code, first[code], autos
 
 
-def _refine(nbr, cells: list[int]) -> list[int]:
+def _orbit(mask: int, gens: list[list[int]]) -> int:
+    """The vertices the group that ``gens`` generate maps ``mask`` onto."""
+    new = mask
+    while new:
+        img = 0
+        for g in gens:
+            rest = new
+            while rest:
+                b = rest & -rest
+                img |= 1 << g[b.bit_length() - 1]
+                rest ^= b
+        new = img & ~mask
+        mask |= new
+    return mask
+
+
+def _permutation(n: int, src, dst) -> list[int]:
+    """The image list on 0..n-1 sending src[i] to dst[i], else fixed."""
+    img = list(range(n))
+    for v, w in zip(src, dst):
+        img[v] = w
+    return img
+
+
+def _refine(nbr, cells: list[int], new: list[int]) -> list[int]:
     """Split cells, in place in the order, by each vertex's neighbour count
-    in every cell, until no cell splits (an equitable partition)."""
+    in every cell, until no cell splits (an equitable partition). Each
+    cell's pieces are ordered by their tuples of counts.
+
+    ``new`` lists cells of ``cells`` in partition order, when ``cells``
+    was made from an equitable partition by splitting cells in place and
+    ``new`` holds all but the last piece of each split, or else all of
+    ``cells``. Within a cell the counts into an unsplit cell are equal,
+    and so is the count into each split one as a whole, which fixes the
+    count into its last piece. So a round compares only the counts into
+    the cells in ``new``, one after the other, which splits a cell into
+    the same pieces, in the same order, as the full tuples. A one-vertex
+    cell splits by a mask: first the non-neighbours, then the neighbours.
+    """
     while True:
-        out = []
+        out, made = [], []
         for c in cells:
             if not c & (c - 1):
                 out.append(c)
                 continue
-            groups: dict[tuple[int, ...], int] = {}
-            rest = c
-            while rest:
-                b = rest & -rest
-                sig = tuple((nbr[b.bit_length() - 1] & d).bit_count() for d in cells)
-                groups[sig] = groups.get(sig, 0) | b
-                rest ^= b
-            out.extend(groups[sig] for sig in sorted(groups))
+            pieces = [c]
+            for d in new:
+                if not d & (d - 1):
+                    nb = nbr[d.bit_length() - 1]
+                    pieces = [x for p in pieces for x in (p & ~nb, p & nb) if x]
+                    continue
+                split = []
+                for p in pieces:
+                    groups: dict[int, int] = {}
+                    rest = p
+                    while rest:
+                        b = rest & -rest
+                        k = (nbr[b.bit_length() - 1] & d).bit_count()
+                        groups[k] = groups.get(k, 0) | b
+                        rest ^= b
+                    split += [groups[k] for k in sorted(groups)]
+                pieces = split
+            out += pieces
+            made += pieces[:-1]
         if len(out) == len(cells):
             return out
-        cells = out
+        cells, new = out, made
 
 
 def _split_cell(nbr, cells: list[int]) -> int | None:
     """Index of the first non-singleton cell, or None when the (equitable)
     partition is a leaf: each vertex of a cell c is joined to none or to
-    all of the other vertices of every cell d, d = c included."""
-    for c in cells:
-        v = (c & -c).bit_length() - 1
-        for d in cells:
-            k = (nbr[v] & d).bit_count()
-            if k and k != d.bit_count() - (c == d):
+    all of the other vertices of every cell d, d = c included.
+
+    In an equitable partition the edges between c and d number
+    |c| times the count from c into d, and |d| times the count back, so
+    the rule holds from c to d exactly when it holds from d to c, and a
+    singleton meets it with every cell. Only pairs of larger cells, each
+    pair once, need a look."""
+    big = [c for c in cells if c & (c - 1)]
+    for i, c in enumerate(big):
+        b = c & -c
+        nv = nbr[b.bit_length() - 1]
+        for d in big[i:]:
+            x = nv & d
+            if x and x != d and x != d ^ b:
                 return next(i for i, e in enumerate(cells) if e & (e - 1))
     return None
 
 
-def _adjacency_code(nbr, cells: list[int]) -> int:
+def _leaf_order(cells: list[int]) -> list[int]:
+    """The vertices cell by cell, each cell in increasing order."""
     order = []
     for c in cells:
         while c:
             b = c & -c
             order.append(b.bit_length() - 1)
             c ^= b
-    pos = {v: i for i, v in enumerate(order)}
+    return order
+
+
+def _adjacency_code(nbr, order: list[int]) -> int:
     k = len(order)
     code = 1
     for v in order:
-        row = 0
+        nv, row, bit = nbr[v], 0, 1
         for w in order:
-            if nbr[v] >> w & 1:
-                row |= 1 << pos[w]
+            if nv >> w & 1:
+                row |= bit
+            bit <<= 1
         code = code << k | row
     return code

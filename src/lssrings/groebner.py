@@ -268,12 +268,16 @@ class MonomialIdeal:
 def minimalize(monos) -> list:
     """The minimal generators of the ideal the monomials generate, in
     grevlex order. Sorted by degree first, a monomial is never divided by
-    a later one, so one pass keeps each that no kept monomial divides."""
-    out: list = []
+    a later one, so one pass keeps each that no kept monomial divides.
+    As in `_reduce`, a kept monomial whose support mask is not inside the
+    candidate's cannot divide it, and the exponents are compared only
+    when the masks allow."""
+    kept: list = []
     for m in sorted(set(monos), key=grevlex_key):
-        if not any(_divides(g, m) for g in out):
-            out.append(m)
-    return out
+        support = _support(m)
+        if not any(not mask & ~support and _divides(g, m) for g, mask in kept):
+            kept.append((m, support))
+    return [m for m, _ in kept]
 
 
 def initial_ideal(basis: IdealBasis) -> MonomialIdeal:

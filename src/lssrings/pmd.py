@@ -20,7 +20,11 @@ remaining part budget. The search keeps only refutations, memoized on
 ``graphs.canonical_form`` of the residual graph (``memo_lo``): whether a
 graph splits into q positive matchings depends neither on its labels nor
 on its isolated vertices, so one refutation serves every labeling, and
-the lower bound is exhaustion up to isomorphism. ``pmd()`` asks for
+the lower bound is exhaustion up to isomorphism. The keys are cached per
+stage mask for the whole solve (``keys``): the same residual comes back
+when parts are removed in another order, and again at each q, and its
+key is computed once. The cache has no cap; it holds one key per
+distinct stage that passes the degree bound. ``pmd()`` asks for
 q = max degree, max degree + 1, ... and stops at the first yes, so a
 success is never looked up again: ``decide`` returns the parts of the
 first split it finds straight up the recursion.
@@ -117,6 +121,7 @@ class _Solver:
             self.vmask[u] |= 1 << i
             self.vmask[v] |= 1 << i
         self.memo_lo: dict[tuple[int, ...], int] = {}     # canonical form -> lower bound
+        self.keys: dict[int, tuple[int, ...]] = {}        # stage mask -> canonical form
 
     # -- bookkeeping
 
@@ -181,17 +186,19 @@ class _Solver:
 
         The checks that need no stage come first: an empty stage (no
         parts), no part left (q <= 0) and the max-degree bound. Only then
-        is the stage built, once, for both its canonical form and
-        ``_maximal_parts``. Only refutations are memoized: ``memo_lo``
-        is keyed on the canonical form, since a refutation holds for every
-        graph isomorphic to the stage. The first success returns its parts
-        straight up the recursion."""
+        is the stage built, once, for both its canonical form (looked up
+        in ``keys`` first) and ``_maximal_parts``. Only refutations are
+        memoized: ``memo_lo`` is keyed on the canonical form, since a
+        refutation holds for every graph isomorphic to the stage. The
+        first success returns its parts straight up the recursion."""
         if mask == 0:
             return []
         if q <= 0 or self._maxdeg(mask) > q:
             return None
         host, nbr = self._stage(mask)
-        key = canonical_form(nbr)
+        key = self.keys.get(mask)
+        if key is None:
+            key = self.keys[mask] = canonical_form(nbr)
         if self.memo_lo.get(key, 1) > q:
             return None
         self._tick()

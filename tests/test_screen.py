@@ -152,6 +152,16 @@ def test_search_node_counts_are_pinned():
     assert pmd(complete_bipartite(4, 4)).nodes == 174
 
 
+def test_search_results_are_pinned():
+    """Value, status and nodes of two larger solves, where most keys come
+    from the orbit-pruned search and the per-solve cache of keys by stage
+    mask; the CI step "Search is unchanged" checks the same figures."""
+    for g, expected in [(complete(8), (13, "exact", 4028)),
+                        (complete_bipartite(6, 6), (11, "exact", 7596))]:
+        r = pmd(g)
+        assert (r.value, r.status, r.nodes) == expected
+
+
 def test_solver_never_calls_the_batch_kernel(connected_n6, monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the solver reached the batch kernel")
