@@ -34,7 +34,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from operator import add, le, sub
 
 from .poly import (Polynomial, Ring, TermOrder, grevlex_key,
@@ -72,8 +72,15 @@ def _same_ring(polys, order: TermOrder) -> None:
         raise ValueError("term order is built on another ring")
 
 
+_BITS = tuple(1 << i for i in range(MAX_VARS))
+
+
 def _support(mono) -> int:
-    return sum(1 << i for i, e in enumerate(mono) if e)
+    """The bitmask of the variables in mono: one pass over the bit table,
+    or bit by bit past its MAX_VARS variables, where it would stop short."""
+    if len(mono) > MAX_VARS:
+        return sum(1 << i for i, e in enumerate(mono) if e)
+    return sum(compress(_BITS, mono))
 
 
 def _divides(a, b) -> bool:
@@ -267,17 +274,26 @@ class MonomialIdeal:
 
 def minimalize(monos) -> list:
     """The minimal generators of the ideal the monomials generate, in
-    grevlex order. Sorted by degree first, a monomial is never divided by
-    a later one, so one pass keeps each that no kept monomial divides.
-    As in `_reduce`, a kept monomial whose support mask is not inside the
+    grevlex order."""
+    return [m for m, _ in _minimal({(m, _support(m)) for m in monos})]
+
+
+def _minimal(pairs) -> list:
+    """``minimalize`` on (monomial, support mask) pairs, kept as pairs.
+    Sorted by degree first, a monomial is never divided by a later one,
+    so one pass keeps each that no kept monomial divides. As in
+    `_reduce`, a kept monomial whose support mask is not inside the
     candidate's cannot divide it, and the exponents are compared only
     when the masks allow."""
     kept: list = []
-    for m in sorted(set(monos), key=grevlex_key):
-        support = _support(m)
+    for m, support in sorted(pairs, key=_lead_key):
         if not any(not mask & ~support and _divides(g, m) for g, mask in kept):
             kept.append((m, support))
-    return [m for m, _ in kept]
+    return kept
+
+
+def _lead_key(pair):
+    return grevlex_key(pair[0])
 
 
 def initial_ideal(basis: IdealBasis) -> MonomialIdeal:
@@ -297,24 +313,28 @@ def hilbert_numerator(mi: MonomialIdeal) -> list:
     pivot is the first variable of the first pair, in grevlex order, that
     shares one. The generators are minimalized once, at entry, and the
     lists stay minimal and in grevlex order: I + (x) is the generators
-    free of x with x put in place, and only I : x is minimalized. Since x
+    free of x with x put in place, and only I : x is minimalized. Each
+    generator carries its support mask down the recursion, and I : x
+    clears bit x only where it takes the last x. Since x
     divides two minimal generators, x is not one of them and I : x never
     contains 1; only the unit ideal itself has numerator 0.
     """
     def rec(gens):
-        masks = [_support(m) for m in gens]
+        masks = [mask for _, mask in gens]
         shared = next((a & b for a, b in combinations(masks, 2) if a & b), 0)
         if not shared:
             out = [1]
-            for m in gens:      # out *= 1 - t^d: subtract out shifted up by d
+            for m, _ in gens:   # out *= 1 - t^d: subtract out shifted up by d
                 d = sum(m)
                 out = list(map(sub, out + [0] * d, [0] * d + out))
             return out
-        x = (shared & -shared).bit_length() - 1
-        plus = [m for m in gens if not m[x]]
-        insort(plus, tuple(int(i == x) for i in range(mi.nvars)), key=grevlex_key)
+        bit = shared & -shared
+        x = bit.bit_length() - 1
+        plus = [g for g in gens if not g[1] & bit]
+        insort(plus, (tuple(int(i == x) for i in range(mi.nvars)), bit), key=_lead_key)
         a = rec(plus)
-        b = rec(minimalize(m[:x] + (m[x] - 1,) + m[x + 1:] if m[x] else m for m in gens))
+        b = rec(_minimal((m[:x] + (m[x] - 1,) + m[x + 1:], mask if m[x] > 1 else mask ^ bit)
+                         if mask & bit else (m, mask) for m, mask in gens))
         out = a + [0] * (len(b) + 1 - len(a))
         for i, v in enumerate(b, 1):
             out[i] += v
@@ -322,8 +342,8 @@ def hilbert_numerator(mi: MonomialIdeal) -> list:
             out.pop()
         return out
 
-    gens = minimalize(mi.gens)
-    return [0] if any(not any(m) for m in gens) else rec(gens)
+    gens = _minimal({(m, _support(m)) for m in mi.gens})
+    return [0] if any(not mask for _, mask in gens) else rec(gens)
 
 
 def dim_and_multiplicity(mi: MonomialIdeal) -> tuple:

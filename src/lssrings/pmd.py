@@ -17,17 +17,42 @@ enters.
 
 Stages are pruned whenever the residual max degree exceeds the
 remaining part budget. The search keeps only refutations, memoized on
-``graphs.canonical_form`` of the residual graph (``memo_lo``): whether a
-graph splits into q positive matchings depends neither on its labels nor
-on its isolated vertices, so one refutation serves every labeling, and
-the lower bound is exhaustion up to isomorphism. The keys are cached per
-stage mask for the whole solve (``keys``): the same residual comes back
-when parts are removed in another order, and again at each q, and its
-key is computed once. The cache has no cap; it holds one key per
-distinct stage that passes the degree bound. ``pmd()`` asks for
-q = max degree, max degree + 1, ... and stops at the first yes, so a
-success is never looked up again: ``decide`` returns the parts of the
-first split it finds straight up the recursion.
+the canonical form of the residual graph (``memo_lo``): whether a graph
+splits into q positive matchings depends neither on its labels nor on
+its isolated vertices, so one refutation serves every labeling, and the
+lower bound is exhaustion up to isomorphism. ``graphs.canonical_labelling``
+gives the form together with generators of the stage's automorphism
+group, and both are cached per stage mask for the whole solve
+(``keys``): the same residual comes back when parts are removed in
+another order, and again at each q, and it is labelled once. The cache
+has no cap; it holds one entry per distinct stage that passes the
+degree bound. ``pmd()`` asks for q = max degree, max degree + 1, ...
+and stops at the first yes, so a success is never looked up again:
+``decide`` returns the parts of the first split it finds straight up
+the recursion.
+
+``decide`` descends into one maximal part per orbit of the stage's
+automorphism group. It keeps the ``_maximal_parts`` list in its order
+and skips every part in the orbit of an earlier one; ``_orbit`` closes
+a part's edge mask under the generators, mapping the edge {u, v} to
+the edge {p[u], p[v]}. An image that is no edge of the stage means the
+generator is no automorphism, a solver bug, and raises by an explicit
+check that runs under -O. Skipping changes no value, status, node
+count, part or certificate, budget-stopped results included:
+
+- An automorphism s of the stage maps positive matchings to positive
+  matchings (weights w certify M, so w composed with s^-1 certifies
+  s(M)) and keeps inclusion, so it maps maximal parts to maximal parts.
+- The residual stage minus s(M) is the image under s of the stage minus
+  M, so the two are isomorphic: equal max degree, equal canonical form.
+- A skipped part s(M) comes after its representative M, whose descent
+  at q - 1 returned None, since a success returns at once and a budget
+  stop raises. It returned None by the q or degree check, which the
+  isomorphic residual fails too, or with ``memo_lo`` of the shared form
+  at q or more (entries only grow). Unskipped, s(M) would stop at the
+  same check, before any ``_tick``.
+- The first success is found at a representative, so the reported
+  parts are the same.
 
 Every graph takes one path. The seed is ``forest_parts``, which on a
 forest colours the edges properly with max-degree many colours in one
@@ -50,7 +75,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, canonical_form, max_degree
+from .graphs import Graph, canonical_labelling, max_degree
 from .posmatch import (WeightCertificate, _closes_cycle, _extend,
                        is_positive_matching, walk_weights)
 # Not called here since _fault checks on masks; perfbench/tracing.py wraps
@@ -121,7 +146,10 @@ class _Solver:
             self.vmask[u] |= 1 << i
             self.vmask[v] |= 1 << i
         self.memo_lo: dict[tuple[int, ...], int] = {}     # canonical form -> lower bound
-        self.keys: dict[int, tuple[int, ...]] = {}        # stage mask -> canonical form
+        # stage mask -> (canonical form, automorphism generators), for each
+        # stage decide gets past the degree bound; the generators pick the
+        # one maximal part per orbit that decide descends into
+        self.keys: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
 
     # -- bookkeeping
 
@@ -186,28 +214,65 @@ class _Solver:
 
         The checks that need no stage come first: an empty stage (no
         parts), no part left (q <= 0) and the max-degree bound. Only then
-        is the stage built, once, for both its canonical form (looked up
-        in ``keys`` first) and ``_maximal_parts``. Only refutations are
+        is the stage built, once, for both its canonical labelling (looked
+        up in ``keys`` first) and ``_maximal_parts``. Only refutations are
         memoized: ``memo_lo`` is keyed on the canonical form, since a
         refutation holds for every graph isomorphic to the stage. The
-        first success returns its parts straight up the recursion."""
+        search descends into one maximal part per orbit of the stage's
+        automorphism group, the first of each orbit in the list (the
+        module docstring says why this changes no result). The first
+        success returns its parts straight up the recursion."""
         if mask == 0:
             return []
         if q <= 0 or self._maxdeg(mask) > q:
             return None
         host, nbr = self._stage(mask)
-        key = self.keys.get(mask)
-        if key is None:
-            key = self.keys[mask] = canonical_form(nbr)
+        entry = self.keys.get(mask)
+        if entry is None:
+            key, _, gens = canonical_labelling(nbr)
+            entry = self.keys[mask] = (key, gens)
+        key, gens = entry
         if self.memo_lo.get(key, 1) > q:
             return None
         self._tick()
+        covered: set[int] = set()      # the orbits of the parts tried so far
         for pm in self._maximal_parts(host, nbr):
+            if pm in covered:
+                continue
+            if gens:
+                covered |= self._orbit(pm, gens, mask)
             rest = self.decide(mask & ~pm, q - 1)
             if rest is not None:
                 return [pm, *rest]
         self.memo_lo[key] = q + 1
         return None
+
+    def _orbit(self, pm: int, gens, stage: int) -> set[int]:
+        """The edge masks that the group ``gens`` generates maps ``pm`` onto.
+
+        A vertex map p sends the edge {u, v} to ``vmask[p[u]] & vmask[p[v]]``,
+        the bit of the edge {p[u], p[v]}. An image that is 0 or lies outside
+        ``stage`` means p is not an automorphism of the stage: a solver
+        bug, which raises."""
+        edges, vmask = self.edges, self.vmask
+        orbit, todo = {pm}, [pm]
+        while todo:
+            cur = todo.pop()
+            for p in gens:
+                img, rest = 0, cur
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    u, v = edges[b.bit_length() - 1]
+                    e = vmask[p[u]] & vmask[p[v]]
+                    if not e or e & ~stage:
+                        raise RuntimeError(f"generator {p} maps the edge {(u + 1, v + 1)} "
+                                           "outside the stage")
+                    img |= e
+                if img not in orbit:
+                    orbit.add(img)
+                    todo.append(img)
+        return orbit
 
     # -- construction helpers
 

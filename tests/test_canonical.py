@@ -257,8 +257,8 @@ def test_keys_equal_the_unpruned_search_on_random_graphs(case, rnd):
 def test_keys_equal_the_unpruned_search_on_solver_stages(g, monkeypatch):
     """Every stage graph that a solve keys, and the solve itself unchanged."""
     seen = []
-    keyed = pmd_module.canonical_form
-    monkeypatch.setattr(pmd_module, "canonical_form",
+    keyed = pmd_module.canonical_labelling
+    monkeypatch.setattr(pmd_module, "canonical_labelling",
                         lambda nbr: seen.append(list(nbr)) or keyed(nbr))
     pmd_module.pmd(g)
     assert seen

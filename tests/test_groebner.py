@@ -372,6 +372,15 @@ def test_hilbert_numerator_matches_direct_counting():
     assert min(kinds.values()) >= 5, kinds
 
 
+def test_hilbert_numerator_past_the_support_bit_table():
+    """Support masks stay exact past the MAX_VARS variables of their bit
+    table: the pivot of (y0*z, y1*z) is z, the 45th variable, and the
+    numerator is N((z)) + t * N((y0, y1)) = 1 - 2t^2 + t^3."""
+    z = (0,) * 44 + (1,)
+    gens = (z[:1] + (1,) + z[2:], (1,) + z[1:])
+    assert hilbert_numerator(MonomialIdeal(gens, 45)) == [1, 0, -2, 1]
+
+
 def test_groebner_entry_points_refuse_another_ring():
     """A polynomial from another ring than the term order's raises, as in
     `initial_form`; the two rings here differ in their number of variables."""

@@ -153,6 +153,70 @@ def test_results_do_not_depend_on_the_clock(monkeypatch):
         assert res.decomposition == before.decomposition
 
 
+PETERSEN = Graph.from_edges(10, [(i, i % 5 + 1) for i in range(1, 6)]
+                            + [(i, i + 5) for i in range(1, 6)]
+                            + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+
+
+def _count_labellings(monkeypatch, generators=True):
+    """Count the solver's labelling calls; with ``generators`` False the
+    solver sees no automorphisms, so orbit branching is off."""
+    calls = []
+    labelling = pmd_module.canonical_labelling
+
+    def counted(nbr):
+        calls.append(1)
+        key, order, gens = labelling(nbr)
+        return key, order, gens if generators else ()
+
+    monkeypatch.setattr(pmd_module, "canonical_labelling", counted)
+    return calls
+
+
+def test_orbit_branching_changes_only_time(connected_n6, monkeypatch):
+    """Descending into one maximal part per automorphism orbit leaves
+    value, status, nodes, parts and certificates as they are without it,
+    a budget-stopped solve included."""
+    cases = [(g, None) for g in connected_n6]
+    cases += [(g, None) for g in (complete(7), complete_bipartite(4, 4),
+                                  complete_bipartite(5, 5),
+                                  complete_bipartite(6, 6), PETERSEN)]
+    cases.append((complete(12), 20_000))
+
+    def fields(r):
+        return (r.value, r.status, r.nodes, r.decomposition.parts,
+                r.decomposition.certificates)
+
+    branched = [fields(pmd(g, node_budget=nb)) for g, nb in cases]
+    assert branched[-1][1] == "upper_bound_only"
+    _count_labellings(monkeypatch, generators=False)
+    assert [fields(pmd(g, node_budget=nb)) for g, nb in cases] == branched
+
+
+def test_orbit_branching_labels_fewer_stages(monkeypatch):
+    """Skipped parts are never keyed: K7 labels 184 stages without orbit
+    branching and fewer with it."""
+    calls = _count_labellings(monkeypatch)
+    pmd(complete(7))
+    branched = len(calls)
+    calls = _count_labellings(monkeypatch, generators=False)
+    pmd(complete(7))
+    assert len(calls) == 184
+    assert 0 < branched < 184
+
+
+@pytest.mark.parametrize("drop, edge", [(0, (2, 3)), (1, (1, 2))],
+                         ids=["non-edge", "outside-stage"])
+def test_orbit_rejects_a_map_that_is_no_automorphism(drop, edge):
+    """Swapping vertices 1 and 3 of the paw sends its edge {3, 4} to the
+    non-edge {1, 4}; on the triangle 2 3 4 alone it sends {2, 3} to
+    {1, 2}, an edge of the graph but not of the stage."""
+    s = _Solver(EXAMPLE, 10 ** 6)
+    stage = ((1 << s.m) - 1) & ~(drop << s.edges.index((0, 1)))
+    with pytest.raises(RuntimeError, match="outside the stage"):
+        s._orbit(1 << s.edges.index(edge), [(2, 1, 0, 3)], stage)
+
+
 @pytest.mark.parametrize("budget", [0, -5, True])
 def test_node_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="node_budget must be a positive integer"):

@@ -153,10 +153,13 @@ def test_search_node_counts_are_pinned():
 
 
 def test_search_results_are_pinned():
-    """Value, status and nodes of two larger solves, where most keys come
+    """Value, status and nodes of larger solves, where most keys come
     from the orbit-pruned search and the per-solve cache of keys by stage
-    mask; the CI step "Search is unchanged" checks the same figures."""
+    mask, and the search descends into one maximal part per automorphism
+    orbit; the CI step "Search is unchanged" checks the same figures."""
     for g, expected in [(complete(8), (13, "exact", 4028)),
+                        (complete(9), (15, "exact", 18047)),
+                        (complete_bipartite(5, 5), (9, "exact", 940)),
                         (complete_bipartite(6, 6), (11, "exact", 7596))]:
         r = pmd(g)
         assert (r.value, r.status, r.nodes) == expected
