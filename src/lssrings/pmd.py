@@ -63,11 +63,11 @@ from the same screen: ``posmatch.walk_weights`` folds ``_extend`` over
 the part's edges and turns the final reach sets into integer weights.
 ``verify_decomposition`` is the one re-check, and every result passes it
 before it is returned. It re-derives edge masks from the reported
-1-based parts and checks, stage by stage, that each part is a non-empty
-matching of the edges left, then every strict inequality of the
-definition on those edges; at the end no edge may be left. The exact LP
-is not on this path; it serves only as the independent oracle in
-pmd_bruteforce.
+1-based parts. Each part must be non-empty, and each stage must pass
+``posmatch._stage_fault`` on the edges left: the one stage check, which
+``check_certificate`` runs too and which refuses a weight that is not
+an ``int``. At the end no edge may be left. The exact LP is not on this
+path; it serves only as the independent oracle in pmd_bruteforce.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph, canonical_labelling, max_degree
-from .posmatch import (WeightCertificate, _closes_cycle, _extend,
+from .posmatch import (WeightCertificate, _closes_cycle, _extend, _stage_fault,
                        is_positive_matching, walk_weights)
-# Not called here since _fault checks on masks; perfbench/tracing.py wraps
-# lssrings.pmd.check_certificate, so the name stays bound.
+# Not called here; perfbench/tracing.py wraps lssrings.pmd.check_certificate.
 from .posmatch import check_certificate  # noqa: F401
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -464,14 +463,11 @@ def verify_decomposition(g: Graph, dec: PmdDecomposition) -> bool:
 
 
 def _fault(g: Graph, dec: PmdDecomposition) -> str | None:
-    """The first broken invariant of ``dec`` as a message, or None: the parts
-    must be non-empty, disjoint matchings of g that cover every edge, and
-    certificate l must meet every strict inequality of the definition on
-    the edges that parts 1..l-1 leave: a sum > 0 on each part edge and < 0
-    on each other one. Edge sets are masks over g's edge order and each
-    part's vertices one vertex mask, so a stage costs one pass over its
-    part and one over the remaining edges. Every check is an explicit
-    return, so it runs under -O."""
+    """The first broken invariant of ``dec`` as a message, or None: as many
+    certificates as parts, no empty part, each stage passing
+    ``posmatch._stage_fault`` on the edges that parts 1..l-1 leave, and no
+    edge left at the end. Edge sets are masks over g's edge order. Every
+    check is an explicit return, so it runs under -O."""
     if len(dec.parts) != len(dec.certificates):
         return (f"the decomposition has {len(dec.parts)} parts but "
                 f"{len(dec.certificates)} certificates")
@@ -479,30 +475,11 @@ def _fault(g: Graph, dec: PmdDecomposition) -> str | None:
     index = {e: i for i, e in enumerate(labels)}
     remaining = (1 << len(labels)) - 1
     for stage, (part, cert) in enumerate(zip(dec.parts, dec.certificates), 1):
-        left, verts = remaining, 0
-        for e in part:
-            i = index.get(e)
-            if i is None or not left >> i & 1:
-                return f"stage {stage} is empty, repeats an edge or lies outside the graph"
-            left ^= 1 << i
-            u, v = labels[i]
-            verts |= 1 << u | 1 << v
-        if left == remaining:
+        if not part:
             return f"stage {stage} is empty, repeats an edge or lies outside the graph"
-        if verts.bit_count() < 2 * len(part):
-            return f"stage {stage} is not a matching"
-        if cert is None:
-            return f"stage part {part} is not a positive matching"
-        w = dict(cert.weights)
-        rest = remaining
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            u, v = labels[low.bit_length() - 1]
-            total = w.get(u, 0) + w.get(v, 0)
-            if (total >= 0) if left & low else (total <= 0):
-                return f"walk certificate for stage part {part} fails its check"
-        remaining = left
+        fault, remaining = _stage_fault(labels, index, remaining, stage, part, cert)
+        if fault is not None:
+            return fault
     if remaining:
         uncovered = (e for i, e in enumerate(labels) if remaining >> i & 1)
         return f"the parts leave {tuple(sorted(uncovered))} uncovered"

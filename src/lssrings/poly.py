@@ -288,7 +288,7 @@ def weight_from_pmd(dec, ring: Ring) -> TermOrder:
     p = len(dec.parts)
     if max((t[2] for t in ring.tokens), default=0) < p:
         raise ValueError(f"need d >= number of parts ({p})")
-    certs = [cert.as_map() for cert in dec.certificates]
+    certs = [dict(cert.weights) for cert in dec.certificates]
     edges = [e for part in dec.parts for e in part]
     vertices = {v for w in certs for v in w} | {v for e in edges for v in e}
     big = 1 + max([1] + [abs(w.get(i, 0) + w.get(j, 0)) for w in certs for (i, j) in edges]

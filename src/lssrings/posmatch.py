@@ -16,6 +16,9 @@ incremental alternating-walk screen at the end of this module
 every vertex; ``walk_weights`` turns the final reach sets into integer
 weights, and ``walk_certificate`` is the same on edge tuples. The LP
 stays as an independent oracle for tests and for pmd_bruteforce.
+``_stage_fault`` is the one check of integer weights against the
+definition: ``check_certificate`` runs it on one stage of edge tuples,
+and ``pmd.verify_decomposition`` on each stage of a decomposition.
 """
 
 from __future__ import annotations
@@ -206,11 +209,42 @@ class WeightCertificate:
     def from_map(weights: dict) -> "WeightCertificate":
         return WeightCertificate(tuple(sorted((int(v), int(w)) for v, w in weights.items())))
 
-    def as_map(self) -> dict[int, int]:
-        return dict(self.weights)
-
     def to_json(self, part: int) -> dict:
         return {"part": part, "weights": {str(v): str(w) for v, w in self.weights}}
+
+
+def _stage_fault(labels, index, remaining: int, stage: int, part,
+                 cert: WeightCertificate | None) -> tuple[str | None, int]:
+    """The one stage check of the definition, on masks over ``labels``, the
+    1-based edges (``index`` maps each back to its bit). In this order: each
+    edge of ``part`` lies in ``remaining`` and does not repeat, the part is a
+    matching, ``cert`` is present, every weight is an ``int``, and every edge
+    of ``remaining`` sums > 0 in the part and < 0 outside it. Returns the
+    first fault as a message or None, and the mask of the edges the part
+    leaves. Every check is an explicit return, so it runs under -O."""
+    left, verts = remaining, 0
+    for e in part:
+        i = index.get(e)
+        if i is None or not left >> i & 1:
+            return f"stage {stage} is empty, repeats an edge or lies outside the graph", left
+        left ^= 1 << i
+        verts |= 1 << e[0] | 1 << e[1]
+    if verts.bit_count() < 2 * len(part):
+        return f"stage {stage} is not a matching", left
+    if cert is None:
+        return f"stage part {part} is not a positive matching", left
+    w = dict(cert.weights)
+    if not {int}.issuperset(map(type, w.values())):
+        return f"certificate for stage part {part} has a weight that is not an int", left
+    rest = remaining
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = labels[low.bit_length() - 1]
+        total = w.get(u, 0) + w.get(v, 0)
+        if (total >= 0) if left & low else (total <= 0):
+            return f"walk certificate for stage part {part} fails its check", left
+    return None, left
 
 
 @dataclass(frozen=True)
@@ -223,24 +257,24 @@ class PositiveMatchingResult:
         return self.status == "positive"
 
 
-def _normalize_edges(edges):
-    out = {(i, j) if i < j else (j, i) for i, j in edges}
-    for i, j in out:
+def _edge_sets(host_edges, part) -> tuple[set, set]:
+    """The tuple front end: the host and the part as sets of pairs (i, j)
+    with i < j. A self-loop, or a part edge outside the host, raises
+    MatchingArgumentError."""
+    host, m = ({(i, j) if i < j else (j, i) for i, j in es} for es in (host_edges, part))
+    for i, j in host | m:
         if i == j:
             raise MatchingArgumentError(f"self-loop ({i},{j})")
-    return out
+    if not m <= host:
+        raise MatchingArgumentError("part is not a subset of the host edge set")
+    return host, m
 
 
 def positive_matching_system(host_edges, part) -> LinearSystem:
     """Normalized system: part sums >= 1, remaining host sums <= -1."""
-    host = _normalize_edges(host_edges)
-    m = _normalize_edges(part)
-    cons = []
-    for i, j in sorted(m):
-        cons.append(make_constraint({i: 1, j: 1}, ">=", 1))
-    for i, j in sorted(host - m):
-        cons.append(make_constraint({i: 1, j: 1}, "<=", -1))
-    return system(cons)
+    host, m = _edge_sets(host_edges, part)
+    return system([make_constraint({i: 1, j: 1}, ">=", 1) for i, j in sorted(m)]
+                  + [make_constraint({i: 1, j: 1}, "<=", -1) for i, j in sorted(host - m)])
 
 
 def is_positive_matching(host_edges, part, n: int | None = None) -> PositiveMatchingResult:
@@ -251,15 +285,9 @@ def is_positive_matching(host_edges, part, n: int | None = None) -> PositiveMatc
     status when the part's edges share a vertex. M must be a subset of
     the host edges.
     """
-    host = _normalize_edges(host_edges)
-    m = _normalize_edges(part)
-    if not m <= host:
-        raise MatchingArgumentError("part is not a subset of the host edge set")
-    used = set()
-    for i, j in m:
-        if i in used or j in used:
-            return PositiveMatchingResult("not_a_matching", None)
-        used.update((i, j))
+    host, m = _edge_sets(host_edges, part)
+    if len({v for e in m for v in e}) < 2 * len(m):
+        return PositiveMatchingResult("not_a_matching", None)
     point = lp_feasible(positive_matching_system(host, m))
     if point is None:
         return PositiveMatchingResult("infeasible", None)
@@ -276,17 +304,14 @@ def is_positive_matching(host_edges, part, n: int | None = None) -> PositiveMatc
 
 
 def check_certificate(host_edges, part, cert: WeightCertificate) -> bool:
-    """Exact strict check of every inequality in the definition."""
-    host = _normalize_edges(host_edges)
-    m = _normalize_edges(part)
-    w = cert.as_map()
-    for i, j in m:
-        if w.get(i, 0) + w.get(j, 0) <= 0:
-            return False
-    for i, j in host - m:
-        if w.get(i, 0) + w.get(j, 0) >= 0:
-            return False
-    return True
+    """Whether ``cert`` certifies the part as a positive matching of the
+    host: ``_stage_fault`` on the one-stage decomposition (host, part).
+    A part that is not a matching, or a weight that is not an ``int``,
+    fails; a part outside the host raises MatchingArgumentError."""
+    host, m = _edge_sets(host_edges, part)
+    labels = sorted(host)
+    index = {e: i for i, e in enumerate(labels)}
+    return _stage_fault(labels, index, (1 << len(labels)) - 1, 1, sorted(m), cert)[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +416,7 @@ def walk_certificate(n: int, host_edges, part) -> WeightCertificate | None:
     has a cycle. Vertices 1..n and every host vertex get a weight. The
     part must be a subset of the host.
     """
-    host = _normalize_edges(host_edges)
-    m = _normalize_edges(part)
-    if not m <= host:
-        raise MatchingArgumentError("part is not a subset of the host edge set")
+    host, m = _edge_sets(host_edges, part)
     labels = sorted(set(range(1, n + 1)).union(*host))
     index = {v: k for k, v in enumerate(labels)}
     nbr = [0] * len(labels)

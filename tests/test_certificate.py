@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import lssrings
 from lssrings import groebner, kernel, posmatch
-from lssrings.graphs import Graph, complete, complete_bipartite, cycle
+from lssrings.graphs import Graph, complete, complete_bipartite, cycle, path
 from lssrings.pmd import (PmdDecomposition, greedy_upper_bound, pmd,
                           verify_decomposition)
 from lssrings.posmatch import (MatchingArgumentError, WeightCertificate,
@@ -28,6 +29,14 @@ pmd_module = importlib.import_module("lssrings.pmd")
 
 EXAMPLE_EDGES = [(1, 2), (2, 3), (2, 4), (3, 4)]
 C4_EDGES = [(1, 2), (2, 3), (3, 4), (1, 4)]
+
+# The parts of path(3) with weights that meet every strict inequality but
+# are Fractions, not ints.
+HALF = Fraction(1, 2)
+PATH3_FRACTION_DEC = PmdDecomposition(
+    (((1, 2),), ((2, 3),)),
+    (WeightCertificate(((1, HALF), (2, HALF), (3, -1))),
+     WeightCertificate(((1, -1), (2, HALF), (3, HALF)))))
 
 
 @st.composite
@@ -52,7 +61,7 @@ def test_walk_certificate_exists_exactly_when_lp_says_positive(case):
     assert (cert is not None) == is_positive_matching(host, part, n=n).is_positive
     if cert is not None:
         assert check_certificate(host, part, cert)
-        assert set(cert.as_map()) == set(range(1, n + 1))
+        assert set(dict(cert.weights)) == set(range(1, n + 1))
 
 
 @settings(max_examples=250, deadline=None)
@@ -179,6 +188,8 @@ def _reference_fault(g, dec):
             return f"stage {stage} is not a matching"
         if cert is None:
             return f"stage part {part} is not a positive matching"
+        if any(type(x) is not int for _, x in cert.weights):
+            return f"certificate for stage part {part} has a weight that is not an int"
         w = dict(cert.weights)
         for i, j in remaining:
             total = w.get(i, 0) + w.get(j, 0)
@@ -194,7 +205,7 @@ def _mutate(parts, certs, rng):
     """One seeded mutation of a decomposition, given as lists of part lists
     and certificates; the lists are changed in place."""
     kind = rng.choice(["flip", "move", "reverse", "drop_part", "drop_cert",
-                       "duplicate", "no_cert"])
+                       "duplicate", "no_cert", "fraction"])
     l = rng.randrange(len(parts))
     cert = certs[l] if l < len(certs) else None
     if kind == "flip" and cert is not None:
@@ -215,6 +226,11 @@ def _mutate(parts, certs, rng):
         parts[rng.randrange(len(parts))].insert(0, rng.choice(parts[l]))
     elif kind == "no_cert" and cert is not None:
         certs[l] = None
+    elif kind == "fraction" and cert is not None:
+        w = list(cert.weights)
+        k = rng.randrange(len(w))
+        w[k] = (w[k][0], Fraction(w[k][1]))
+        certs[l] = WeightCertificate(tuple(w))
 
 
 def test_mask_check_agrees_with_reference_on_mutants(connected_n6):
@@ -237,7 +253,19 @@ def test_mask_check_agrees_with_reference_on_mutants(connected_n6):
             assert pmd_module._fault(g, mutant) == expected, (g, mutant)
             assert verify_decomposition(g, mutant) == (expected is None)
             seen.add(expected and re.sub(r"\(.*\)|\d+", "", expected))
-    assert len(seen) == 7, seen        # every message, and some mutants pass
+    assert len(seen) == 8, seen        # every message, and some mutants pass
+
+
+def test_weights_must_be_ints():
+    """Weights that meet every strict inequality still fail when they are
+    not ints: Fractions in a decomposition, a float, a bool."""
+    g = path(3)
+    assert verify_decomposition(g, pmd(g).decomposition)
+    assert not verify_decomposition(g, PATH3_FRACTION_DEC)
+    assert re.search("weight that is not an int", pmd_module._fault(g, PATH3_FRACTION_DEC))
+    for w in (1.0, True):
+        assert not check_certificate([(1, 2)], [(1, 2)], WeightCertificate(((1, w), (2, w))))
+    assert check_certificate([(1, 2)], [(1, 2)], WeightCertificate(((1, 1), (2, 1))))
 
 
 def test_lp_certificate_recheck_raises(monkeypatch):
@@ -267,13 +295,20 @@ def test_solve_is_verified_under_optimize_flag():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = "\n".join([
-        "from lssrings import complete, parse_edge_list, pmd, verify_decomposition",
+        "from fractions import Fraction",
+        "from lssrings import (PmdDecomposition, WeightCertificate, check_certificate,",
+        "                      complete, parse_edge_list, path, pmd, verify_decomposition)",
         "print('debug' if __debug__ else 'optimized')",
         "for g in (parse_edge_list('4\\n1 2\\n2 3\\n2 4\\n3 4'), complete(4)):",
         "    r = pmd(g)",
         "    print(r.value, r.status, verify_decomposition(g, r.decomposition))",
+        # a part that is not a matching, and the path(3) Fraction weights
+        "print(check_certificate([(1, 2), (2, 3)], [(1, 2), (2, 3)],",
+        "                        WeightCertificate(((1, 1), (2, 0), (3, 1)))))",
+        f"print(verify_decomposition(path(3), {PATH3_FRACTION_DEC!r}))",
     ])
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["optimized", "3", "exact", "True", "5", "exact", "True"]
+    assert proc.stdout.split() == ["optimized", "3", "exact", "True", "5", "exact", "True",
+                                   "False", "False"]

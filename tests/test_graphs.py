@@ -46,6 +46,12 @@ def test_parse_graph6_errors_name_offsets():
         parse_graph6("C~~")
     with pytest.raises(GraphFormatError, match="truncated"):
         parse_graph6("C")
+    for line, message in (("!", "byte 0: out-of-range character '!'"),
+                          ("?", "byte 0: vertex count must be at least 1"),
+                          ("A!", "byte 1: out-of-range character '!'"),
+                          ("A`", "byte 1: nonzero padding bits")):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            parse_graph6(line)
 
 
 def test_graph6_roundtrip_all_n4_and_samples(all_n5):
@@ -103,6 +109,8 @@ def test_parse_edge_list_errors_name_the_physical_line():
         parse_edge_list("# h\n3\n1 2 3")
     with pytest.raises(GraphFormatError, match=r"^line 2: expected vertex count, got 'x'$"):
         parse_edge_list("\nx\n1 2")
+    with pytest.raises(GraphFormatError, match=r"^empty edge-list input$"):
+        parse_edge_list("# only a comment\n")
 
 
 def test_degeneracy_known_values():

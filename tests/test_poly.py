@@ -114,14 +114,14 @@ def _rational_weights(dec):
                 | {v for e in all_edges for v in e})
     big = 1
     for cert in dec.certificates:
-        w = cert.as_map()
+        w = dict(cert.weights)
         for (i, j) in all_edges:
             big = max(big, abs(w.get(i, 0) + w.get(j, 0)))
         big = max([big] + [abs(x) for x in w.values()])
     big += 1
     weights = {}
     for l, cert in enumerate(dec.certificates, start=1):
-        w = cert.as_map()
+        w = dict(cert.weights)
         for v in vertices:
             weights[("y", v, l)] = QQ(1) + QQ(w.get(v, 0)) * QQ(1, big ** l)
     return weights, big

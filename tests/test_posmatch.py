@@ -63,6 +63,9 @@ def test_certificate_from_worked_example_figure():
     zero = WeightCertificate.from_map({1: 0, 2: 0, 3: 0, 4: 0})
     assert not check_certificate(EXAMPLE_EDGES, [(1, 2), (3, 4)], zero)
     assert check_certificate([(1, 2)], [(1, 2)], WeightCertificate.from_map({1: 1, 2: 1}))
+    # every part edge sums > 0, but the non-part edge {2, 3} sums to 0
+    tie = WeightCertificate.from_map({1: 3, 2: -1, 3: 1, 4: 1})
+    assert not check_certificate(EXAMPLE_EDGES, [(1, 2), (3, 4)], tie)
 
 
 def test_is_positive_matching_example_first_stage():
@@ -87,8 +90,12 @@ def test_is_positive_matching_empty_cases():
 def test_not_a_matching_is_distinct():
     res = is_positive_matching(EXAMPLE_EDGES, [(1, 2), (2, 3)])
     assert res.status == "not_a_matching" and res.certificate is None
-    with pytest.raises(MatchingArgumentError):
-        is_positive_matching(EXAMPLE_EDGES, [(1, 3)])
+    # weights that meet every inequality do not make a non-matching pass
+    w = WeightCertificate.from_map({1: 1, 2: 0, 3: 1})
+    assert not check_certificate([(1, 2), (2, 3)], [(1, 2), (2, 3)], w)
+    for check in (is_positive_matching, lambda host, part: check_certificate(host, part, w)):
+        with pytest.raises(MatchingArgumentError):
+            check(EXAMPLE_EDGES, [(1, 3)])
 
 
 def test_certificates_scale_to_integers():

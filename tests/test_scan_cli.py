@@ -9,7 +9,7 @@ import pytest
 from lssrings import cli, reports, scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
-from lssrings.pmd import pmd
+from lssrings.pmd import PmdResult, pmd
 from lssrings.reports import (PROPERTIES, VERIFY_SUITES, invariants_of,
                               threshold_table)
 from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
@@ -246,7 +246,8 @@ def test_cli_thresholds_lines_are_the_threshold_table(all_n5, capsys):
     """On every graph with n <= 5 and every d in 1..8, each property lists as
     "fires" the rows of threshold_table with threshold <= d (None: any d)
     and as "needs" the rows with threshold > d, and is guaranteed exactly
-    when some row fires."""
+    when some row fires. The --json verdicts are the same lines, less the
+    "needs" ones."""
     for g in all_n5:
         table = threshold_table(g, invariants_of(g))
         for d in range(1, 9):
@@ -262,6 +263,16 @@ def test_cli_thresholds_lines_are_the_threshold_table(all_n5, capsys):
                         when = "any d" if rf.threshold is None else f"d >= {rf.threshold}"
                         want.append(f"    [{rf.rule}] {when} ({state}) :: {rf.statement}")
             assert lines == want, (encode_graph6(g), d)
+            assert cli_main(["thresholds", encode_graph6(g), "--d", str(d), "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            from_json = []
+            for p, v in doc["verdicts"].items():
+                from_json.append(f"{p:22s} {v['verdict']}")
+                for r in v["rules"]:
+                    when = "any d" if r["threshold"] is None else f"d >= {r['threshold']}"
+                    from_json.append(f"    [{r['rule']}] {when} (fires) :: {r['citation']}")
+            assert doc["d"] == d
+            assert from_json == [ln for ln in want if " (needs) :: " not in ln]
 
 
 def test_cli_thresholds_of_an_edgeless_graph_fire_at_any_d(capsys):
@@ -413,6 +424,10 @@ def test_cli_family_specs_name_the_family_on_bad_parameters(capsys):
         assert not captured.out
         assert captured.err == (f"error: family '{kind}': parameter {bad} "
                                 "is not a nonnegative integer\n")
+    for spec, message in (("cycle:2", "cycle needs n >= 3"),
+                          ("gapped:2", "gapped family needs n >= 3")):
+        assert cli_main(["pmd", spec]) == 1, spec
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert cli_main(["pmd", "complete_bipartite:2,3"]) == 0
     assert capsys.readouterr().out.startswith("pmd = 4 (exact)")
 
@@ -448,9 +463,15 @@ def test_cli_trees_n_and_scan_max_n_reject_values_below_one(tmp_path, capsys):
         assert not captured.out and "must be at least 1" in captured.err
 
 
-def test_cli_trees_check(capsys):
+def test_cli_trees_check(capsys, monkeypatch):
     assert cli_main(["trees", "--n", "4", "--check"]) == 0
     assert "PASS" in capsys.readouterr().out
+    # a solve that answers pmd = degree + 1 fails the check
+    monkeypatch.setattr(scan, "solve_pmd", lambda g, node_budget=None:
+                        PmdResult(max_degree(g) + 1, None, "exact", 0, 0.0))
+    assert cli_main(["trees", "--n", "3", "--check"]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL pmd != delta" in captured.err
 
 
 def test_cli_entrypoint_subprocess():
