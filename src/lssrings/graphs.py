@@ -89,9 +89,11 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # graph6 (single-byte size field, n <= 62)
-
-_G6_MIN, _G6_MAX = 63, 126
-
+#
+# The body is one integer of 6 bits a byte, the first byte on top. Its
+# top n(n-1)/2 bits are the pairs (i, j), i < j, column by column: the
+# pair is bit j(j-1)/2 + i, counting from 0 at the top. Zero bits pad
+# the bottom.
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line; errors name the offending byte offset."""
@@ -101,7 +103,7 @@ def parse_graph6(line: str) -> Graph:
     b0 = ord(s[0])
     if b0 == 126:
         raise GraphFormatError("byte 0: multi-byte size field (n > 62) unsupported")
-    if not _G6_MIN <= b0 < 126:
+    if not 63 <= b0 < 126:
         raise GraphFormatError(f"byte 0: out-of-range character {s[0]!r}")
     n = b0 - 63
     if n < 1:
@@ -112,44 +114,30 @@ def parse_graph6(line: str) -> Graph:
         raise GraphFormatError(f"byte {len(s)}: truncated, need {1 + nbytes} bytes")
     if len(s) > 1 + nbytes:
         raise GraphFormatError(f"byte {1 + nbytes}: trailing garbage")
-    bits = []
-    for k in range(nbytes):
-        b = ord(s[1 + k])
-        if not _G6_MIN <= b <= _G6_MAX:
-            raise GraphFormatError(f"byte {1 + k}: out-of-range character {s[1 + k]!r}")
-        val = b - 63
-        bits.extend((val >> (5 - t)) & 1 for t in range(6))
-    pad = bits[nbits:]
-    if any(pad):
+    bits = 0
+    for k, c in enumerate(s[1:], start=1):
+        b = ord(c)
+        if not 63 <= b <= 126:
+            raise GraphFormatError(f"byte {k}: out-of-range character {c!r}")
+        bits = bits << 6 | b - 63
+    if bits & ((1 << (6 * nbytes - nbits)) - 1):
         raise GraphFormatError(f"byte {nbytes}: nonzero padding bits")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, tuple(sorted(edges)))
+    top = 6 * nbytes - 1
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                          if bits >> (top - j * (j - 1) // 2 - i) & 1))
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode as graph6 (n <= 62)."""
     if not 1 <= g.n <= 62:
         raise GraphFormatError("graph6 output supports 1 <= n <= 62")
-    eset = set(g.edges)
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in eset else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for t in range(6):
-            val = (val << 1) | bits[k + t]
-        out.append(chr(63 + val))
-    return "".join(out)
+    nbytes = (g.n * (g.n - 1) // 2 + 5) // 6
+    top = 6 * nbytes - 1
+    bits = 0
+    for i, j in g.edges:
+        bits |= 1 << (top - j * (j - 1) // 2 - i)
+    return chr(63 + g.n) + "".join(chr(63 + (bits >> 6 * k & 63))
+                                   for k in range(nbytes - 1, -1, -1))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -207,7 +207,9 @@ class WeightCertificate:
 
     @staticmethod
     def from_map(weights: dict) -> "WeightCertificate":
-        return WeightCertificate(tuple(sorted((int(v), int(w)) for v, w in weights.items())))
+        """The weights as given, by vertex; the stage check refuses any
+        that is not an ``int``."""
+        return WeightCertificate(tuple(sorted(weights.items())))
 
     def to_json(self, part: int) -> dict:
         return {"part": part, "weights": {str(v): str(w) for v, w in self.weights}}

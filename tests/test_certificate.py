@@ -266,6 +266,13 @@ def test_weights_must_be_ints():
     for w in (1.0, True):
         assert not check_certificate([(1, 2)], [(1, 2)], WeightCertificate(((1, w), (2, w))))
     assert check_certificate([(1, 2)], [(1, 2)], WeightCertificate(((1, 1), (2, 1))))
+    # from_map keeps the weights it is given, so the check sees them
+    cert = WeightCertificate.from_map({1: 1.7, 2: 0.5, 3: -3})
+    assert cert.weights == ((1, 1.7), (2, 0.5), (3, -3))
+    assert not check_certificate([(1, 2), (2, 3)], [(1, 2)], cert)
+    cert = WeightCertificate.from_map({3: True, 1: Fraction(1, 2), 2: 0.9})
+    assert cert.weights == ((1, Fraction(1, 2)), (2, 0.9), (3, True))
+    assert not check_certificate([(1, 2), (2, 3)], [(1, 2)], cert)
 
 
 def test_lp_certificate_recheck_raises(monkeypatch):

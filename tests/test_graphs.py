@@ -1,6 +1,7 @@
 """Graph representation, formats, families, and degree invariants."""
 
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -29,28 +30,29 @@ def test_parse_graph6_k2_derived_from_reference_encoder():
     assert codes == {"A?", "A_"}
     g = parse_graph6("A_")
     assert g.edge_labels() == ((1, 2),)
+    assert parse_graph6("\tA_\r\n") == g
 
 
 def test_parse_graph6_k4_derived_from_reference_encoder():
     assert reference_encode_graph6(complete(4)) == "C~"
     g = parse_graph6("C~")
     assert g.n == 4 and g.m == 6
+    assert parse_graph6(" >>graph6<<C~ \n") == g
 
 
 def test_parse_graph6_errors_name_offsets():
-    with pytest.raises(GraphFormatError, match="byte 0"):
-        parse_graph6("~??")          # multi-byte size field
-    with pytest.raises(GraphFormatError, match="byte 1"):
-        parse_graph6("C" + chr(30))
-    with pytest.raises(GraphFormatError, match="trailing"):
-        parse_graph6("C~~")
-    with pytest.raises(GraphFormatError, match="truncated"):
-        parse_graph6("C")
-    for line, message in (("!", "byte 0: out-of-range character '!'"),
+    for line, message in (("~??", "byte 0: multi-byte size field (n > 62) unsupported"),
+                          ("C" + chr(30), "byte 1: truncated, need 2 bytes"),  # chr(30) is stripped
+                          ("C~~", "byte 2: trailing garbage"),
+                          ("C", "byte 1: truncated, need 2 bytes"),
+                          ("", "empty graph6 line"),
+                          ("!", "byte 0: out-of-range character '!'"),
                           ("?", "byte 0: vertex count must be at least 1"),
                           ("A!", "byte 1: out-of-range character '!'"),
-                          ("A`", "byte 1: nonzero padding bits")):
-        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+                          ("A`", "byte 1: nonzero padding bits"),
+                          ("@~", "byte 1: trailing garbage"),
+                          ("B~", "byte 1: nonzero padding bits")):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
             parse_graph6(line)
 
 
@@ -66,6 +68,23 @@ def test_graph6_roundtrip_all_n4_and_samples(all_n5):
             assert parse_graph6(code) == g
     for g in all_n5:
         assert parse_graph6(encode_graph6(g)) == g
+    # seeded random graphs at every n the size byte allows, sparse to dense,
+    # with K62 and the edgeless graph on 62 vertices at the top
+    rng = random.Random(6)
+    graphs = [complete(62), Graph(62, ())]
+    for n in range(5, 63):
+        for p in (0.1, 0.5, 0.9):
+            graphs.append(Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                                         if rng.random() < p)))
+    for g in graphs:
+        code = encode_graph6(g)
+        assert code == reference_encode_graph6(g)
+        assert parse_graph6(code) == g
+    assert encode_graph6(complete(62)) == "}" + "~" * 315 + "_"
+    assert encode_graph6(Graph(62, ())) == "}" + "?" * 316
+    for n in (0, 63):
+        with pytest.raises(GraphFormatError, match="^graph6 output supports 1 <= n <= 62$"):
+            encode_graph6(Graph(n, ()))
 
 
 def test_parse_edge_list_example_graph():
