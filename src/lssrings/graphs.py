@@ -95,9 +95,15 @@ class Graph:
 # pair is bit j(j-1)/2 + i, counting from 0 at the top. Zero bits pad
 # the bottom.
 
+# str.strip() with no argument also strips Unicode spaces and controls such
+# as \x1c-\x1f, \x85 and \xa0, which graph6 does not allow
+ASCII_SPACE = " \t\n\r\x0b\x0c"
+
+
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 line; errors name the offending byte offset."""
-    s = line.strip().removeprefix(">>graph6<<")
+    """Decode one graph6 line; errors name the offending byte offset. Only
+    ASCII whitespace around the line is ignored."""
+    s = line.strip(ASCII_SPACE).removeprefix(">>graph6<<")
     if not s:
         raise GraphFormatError("empty graph6 line")
     b0 = ord(s[0])
@@ -128,15 +134,21 @@ def parse_graph6(line: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode as graph6 (n <= 62)."""
-    if not 1 <= g.n <= 62:
+    """Encode as graph6 (n <= 62). ``Graph(n, edges)`` checks nothing, so
+    each edge is checked here: one out of order or out of range would
+    set another pair's bit or a negative shift."""
+    n = g.n
+    if not 1 <= n <= 62:
         raise GraphFormatError("graph6 output supports 1 <= n <= 62")
-    nbytes = (g.n * (g.n - 1) // 2 + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     top = 6 * nbytes - 1
     bits = 0
     for i, j in g.edges:
+        if not 0 <= i < j < n:
+            raise GraphFormatError(f"graph6 output: edge {(i, j)} is not "
+                                   f"0 <= u < v < {n}")
         bits |= 1 << (top - j * (j - 1) // 2 - i)
-    return chr(63 + g.n) + "".join(chr(63 + (bits >> 6 * k & 63))
+    return chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 63))
                                    for k in range(nbytes - 1, -1, -1))
 
 

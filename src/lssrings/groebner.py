@@ -185,10 +185,6 @@ class IdealBasis:
     def ring(self) -> Ring:
         return self.order.ring
 
-    def to_json(self) -> dict:
-        return {"reduced": True,
-                "generators": [g.to_json_terms() for g in self.generators]}
-
 
 def buchberger(gens, order: TermOrder) -> IdealBasis:
     """Reduced Groebner basis by Buchberger's algorithm.

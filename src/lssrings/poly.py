@@ -180,14 +180,11 @@ class Polynomial:
         return (isinstance(other, Polynomial) and self.ring == other.ring
                 and self.terms == other.terms)
 
-    def sorted_monomials(self):
-        return sorted(self.terms, key=grevlex_key, reverse=True)
-
     def __str__(self):
         if not self.terms:
             return "0"
         chunks = []
-        for m in self.sorted_monomials():
+        for m in sorted(self.terms, key=grevlex_key, reverse=True):
             c = self.terms[m]
             ms = self.ring.monomial_str(m)
             if ms == "1":
@@ -201,17 +198,6 @@ class Polynomial:
             else:
                 chunks.append(("- " if c < 0 else "+ ") + body)
         return " ".join(chunks)
-
-    def to_json_terms(self) -> list:
-        out = []
-        for m in self.sorted_monomials():
-            mono = []
-            for i, e in enumerate(m):
-                if e:
-                    t = self.ring.tokens[i]
-                    mono.append([t[1], t[2], e] if t[0] == "y" else [str(t), e])
-            out.append({"coeff": str(self.terms[m]), "monomial": mono})
-        return out
 
     def __repr__(self):
         return f"Polynomial({self})"

@@ -1,11 +1,11 @@
-"""Threshold rule engine, the family knowledge base, and the desk-scale
-verification suites for the quotient-ring identities (``VERIFY_SUITES``:
-star, path, D and the worked example).
+"""Threshold rule engine and the desk-scale verification suites for the
+quotient-ring identities (``VERIFY_SUITES``: star, path, D and the worked
+example).
 
 Every guarantee comes from one rule table, ``_RULES``, and cites the
 rows whose threshold is at most d; rules derived from the pmd bound and
 rules derived from the degree/degeneracy bound are kept separate, and
-conjecture-status facts never justify a guarantee.
+no conjecture is a rule.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ class PropertyReport:
         }
 
 
-_C6_THEOREM = ("the 6-cycle: not prime and not a complete intersection at "
-               "d = 2, prime complete intersection from d = 3 on")
-_FOREST_THEOREM = "forests with d >= degree + 1 have a normal quotient ring"
-
 # Rule table, the only source of guarantees. Each entry: (rule id, least
 # firing d as a function of the graph and its invariants, or None when the
 # rule does not apply; granted properties; statement; source attribution
@@ -132,10 +128,13 @@ _RULES = (
      "d >= pmd + degeneracy + 1: unique factorization domain",
      ""),
     ("forest-normal", lambda g, i: i.delta + 1 if is_forest(g) else None,
-     ("normal",), _FOREST_THEOREM, ""),
+     ("normal",), "forests with d >= degree + 1 have a normal quotient ring",
+     ""),
     ("six-cycle", lambda g, i: 3 if g.n == 6 and is_cycle_graph(g) else None,
      ("prime", "irreducible", "complete_intersection", "radical"),
-     _C6_THEOREM, "Conca-Welker 2019"),
+     "the 6-cycle: not prime and not a complete intersection at d = 2, "
+     "prime complete intersection from d = 3 on",
+     "Conca-Welker 2019"),
 )
 
 
@@ -159,75 +158,6 @@ def threshold_table(g: Graph, inv: GraphInvariants) -> dict:
             for prop in grants:
                 table[prop].append(RuleFiring(rule, t, stmt, src))
     return table
-
-
-# ---------------------------------------------------------------------------
-# knowledge base
-
-@dataclass(frozen=True)
-class FamilyFact:
-    family: str
-    params: tuple
-    statement: str
-    status: str                 # "theorem" | "conjecture"
-    source: str = ""
-
-
-def knowledge_base() -> tuple[FamilyFact, ...]:
-    """Citable family facts; conjectures are flagged. Guarantees come only
-    from the rule table, where the 6-cycle and forest theorems are the
-    six-cycle and forest-normal rows."""
-    return (
-        FamilyFact("cycle", (6,), _C6_THEOREM, "theorem", "Conca-Welker 2019"),
-        FamilyFact("forest", (), _FOREST_THEOREM, "theorem"),
-        FamilyFact("star", ("n",),
-                   "the star on n vertices at d = n has divisor class group Z; "
-                   "in particular the UFD threshold pmd + degeneracy + 1 is "
-                   "sharp on forests",
-                   "theorem"),
-        FamilyFact("path", ("n",),
-                   "the path on n vertices at d = 3 has divisor class group "
-                   "Z^(n-2)",
-                   "theorem"),
-        FamilyFact("gapped", ("n",),
-                   "the complete graph on n vertices with n-2 pendant edges "
-                   "on one vertex has alpha - pmd = n - 2, so the gap between "
-                   "the two thresholds is unbounded",
-                   "theorem", "Farrokhi-Gharakhloo-Yazdan Pour"),
-        FamilyFact("all", (),
-                   "conjecture: pmd(G) <= alpha(G) for every simple graph",
-                   "conjecture"),
-        FamilyFact("forest", (),
-                   "conjecture: a forest at d = degree + 1 has divisor class "
-                   "group Z^m with m the number of maximum-degree vertices",
-                   "conjecture"),
-    )
-
-
-def class_group(family: str, params, d: int) -> FamilyFact | None:
-    """Known or conjectured divisor class groups; None when no fact applies."""
-    if family == "star":
-        n = int(params)
-        if n >= 2 and d == n:
-            return FamilyFact("star", (n,), f"Z (free of rank 1) at d = n = {n}",
-                              "theorem")
-        return None
-    if family == "path":
-        n = int(params)
-        if n >= 2 and d == 3:
-            return FamilyFact("path", (n,), f"Z^{n - 2} at d = 3", "theorem")
-        return None
-    if family == "forest":
-        g = params
-        if not isinstance(g, Graph) or not is_forest(g) or g.m == 0:
-            return None
-        delta = max_degree(g)
-        if d != delta + 1:
-            return None
-        m = sum(1 for x in g.degrees() if x == delta)
-        return FamilyFact("forest", (g.n, g.m), f"Z^{m} at d = degree + 1 "
-                          f"(m = {m} maximum-degree vertices)", "conjecture")
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import time
 import traceback
 from dataclasses import dataclass, fields
 
-from .graphs import (Graph, GraphFormatError, degeneracy, encode_graph6,
-                     is_bipartite, max_degree, parse_graph6)
+from .graphs import (ASCII_SPACE, Graph, GraphFormatError, degeneracy,
+                     encode_graph6, is_bipartite, max_degree, parse_graph6)
 from .pmd import check_node_budget
 from .pmd import pmd as solve_pmd
 
@@ -128,8 +128,11 @@ def _scan_one(args) -> ScanRow | None:
 
 
 def iter_corpus_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.strip()
+    """The corpus's nonblank lines that are not '#' comments. Lines end only
+    at \\n, \\r\\n and \\r: str.splitlines() would also end them at
+    \\x1c-\\x1e, \\x85 and \\u2028, which graph6 must refuse, not skip."""
+    for raw in text.replace("\r", "\n").split("\n"):
+        line = raw.strip(ASCII_SPACE)
         if line and not line.startswith("#"):
             yield line
 

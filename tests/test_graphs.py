@@ -42,7 +42,12 @@ def test_parse_graph6_k4_derived_from_reference_encoder():
 
 def test_parse_graph6_errors_name_offsets():
     for line, message in (("~??", "byte 0: multi-byte size field (n > 62) unsupported"),
-                          ("C" + chr(30), "byte 1: truncated, need 2 bytes"),  # chr(30) is stripped
+                          ("C" + chr(30), "byte 1: out-of-range character '\\x1e'"),
+                          # only ASCII whitespace is stripped: a control or
+                          # non-ASCII character after K4 is a byte too many
+                          ("C~" + chr(30), "byte 2: trailing garbage"),
+                          ("C~\x85", "byte 2: trailing garbage"),
+                          ("C~\xa0", "byte 2: trailing garbage"),
                           ("C~~", "byte 2: trailing garbage"),
                           ("C", "byte 1: truncated, need 2 bytes"),
                           ("", "empty graph6 line"),
@@ -85,6 +90,15 @@ def test_graph6_roundtrip_all_n4_and_samples(all_n5):
     for n in (0, 63):
         with pytest.raises(GraphFormatError, match="^graph6 output supports 1 <= n <= 62$"):
             encode_graph6(Graph(n, ()))
+
+
+def test_encode_graph6_refuses_edges_out_of_order_or_range():
+    """Graph(n, edges) checks nothing; the encoder must not write another
+    graph for a reversed pair, nor fail on a shift for an outside vertex."""
+    for g, message in ((Graph(3, ((1, 0),)), "graph6 output: edge (1, 0) is not 0 <= u < v < 3"),
+                       (Graph(3, ((0, 5),)), "graph6 output: edge (0, 5) is not 0 <= u < v < 3")):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            encode_graph6(g)
 
 
 def test_parse_edge_list_example_graph():

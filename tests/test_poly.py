@@ -276,6 +276,3 @@ def test_render_and_json_stable():
     f = yvar(r, 1, 1) * yvar(r, 2, 1) + yvar(r, 1, 2) * yvar(r, 2, 2).scale(QQ(-2))
     s = str(f)
     assert s == "y[1,1]*y[2,1] - 2*y[1,2]*y[2,2]"
-    terms = f.to_json_terms()
-    assert terms[0] == {"coeff": "1", "monomial": [[1, 1, 1], [2, 1, 1]]}
-    assert terms[1]["coeff"] == "-2"

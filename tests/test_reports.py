@@ -1,13 +1,12 @@
-"""Rule engine, knowledge base, class-group facts, and the quotient suites."""
+"""Rule engine and the quotient suites."""
 
 import pytest
 
 from lssrings.graphs import cycle, parse_edge_list, path, star
 from lssrings.pmd import pmd
-from lssrings.reports import (GraphInvariants, class_group, invariants_of,
-                              knowledge_base, properties_at, threshold_table,
-                              verify_D_nonzero, verify_path_suite,
-                              verify_star_suite, PROPERTIES)
+from lssrings.reports import (GraphInvariants, invariants_of, properties_at,
+                              threshold_table, verify_D_nonzero,
+                              verify_path_suite, verify_star_suite, PROPERTIES)
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
 TWO_K3 = parse_edge_list("6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6")
@@ -101,39 +100,6 @@ def test_implication_chain(all_n5):
                 assert rep.guaranteed("irreducible")
 
 
-def test_class_group_facts():
-    star_fact = class_group("star", 4, 4)
-    assert star_fact.status == "theorem" and "rank 1" in star_fact.statement
-    path_fact = class_group("path", 5, 3)
-    assert path_fact.status == "theorem" and "Z^3" in path_fact.statement
-    forest_fact = class_group("forest", path(5), 3)
-    assert forest_fact.status == "conjecture" and "Z^3" in forest_fact.statement
-    assert class_group("star", 4, 5) is None
-    assert class_group("path", 5, 4) is None
-    assert class_group("cycle", 5, 3) is None
-
-
-def test_knowledge_base_statuses():
-    kb = knowledge_base()
-    statuses = {f.statement: f.status for f in kb}
-    assert any("6-cycle" in s for s in statuses)
-    conj = [f for f in kb if f.status == "conjecture"]
-    assert len(conj) == 2
-    # facts grant nothing: the 6-cycle theorem is the six-cycle rule, one text
-    assert not any(hasattr(f, "grants") for f in kb)
-    c6_fact = next(f for f in kb if f.family == "cycle")
-    c6 = cycle(6)
-    cited = threshold_table(c6, _inv(c6))["prime"]
-    assert any(rf.rule == "six-cycle" and rf.statement == c6_fact.statement
-               for rf in cited)
-    # the forest theorem is likewise the forest-normal rule, one text
-    forest_fact = next(f for f in kb if f.family == "forest")
-    p4 = path(4)
-    cited = threshold_table(p4, _inv(p4))["normal"]
-    assert any(rf.rule == "forest-normal" and rf.statement == forest_fact.statement
-               for rf in cited)
-
-
 def test_c6_knowledge_base_grant():
     c6 = cycle(6)
     inv = _inv(c6)
@@ -141,6 +107,16 @@ def test_c6_knowledge_base_grant():
     assert rep3.guaranteed("prime")
     rules = {rf.rule: rf.threshold for rf in rep3.fires("prime")}
     assert rules == {"six-cycle": 3}
+    assert [rf.statement for rf in threshold_table(c6, inv)["prime"]
+            if rf.rule == "six-cycle"] == [
+        "the 6-cycle: not prime and not a complete intersection at d = 2, "
+        "prime complete intersection from d = 3 on"]
+    # the forest theorem is the forest-normal row, cited under normal
+    p4 = path(4)
+    assert [(rf.threshold, rf.statement)
+            for rf in threshold_table(p4, _inv(p4))["normal"]
+            if rf.rule == "forest-normal"] == [
+        (3, "forests with d >= degree + 1 have a normal quotient ring")]
     rep2 = properties_at(c6, 2, inv)
     assert not rep2.guaranteed("prime")
     # two disjoint triangles are 2-regular on six vertices, not the 6-cycle

@@ -13,8 +13,8 @@ from lssrings.pmd import PmdResult, pmd
 from lssrings.reports import (PROPERTIES, VERIFY_SUITES, invariants_of,
                               threshold_table)
 from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
-                           enumerate_trees, pruefer_decode, rows_to_csv,
-                           scan_corpus, scan_graph)
+                           enumerate_trees, iter_corpus_lines, pruefer_decode,
+                           rows_to_csv, scan_corpus, scan_graph)
 
 
 def run_cli(*args, capsys=None):
@@ -65,6 +65,17 @@ def test_scan_handles_malformed_lines():
     assert summary.total == 3 and summary.parse_errors == 1
     assert rows[1].status.startswith("parse_error")
     assert rows[0].status == "exact" and rows[2].status == "exact"
+
+
+def test_corpus_lines_end_only_at_ascii_line_breaks():
+    """A character that str.splitlines() takes for a line break stays in
+    its line, so the line is refused rather than read as K4."""
+    assert list(iter_corpus_lines("A_\r\nBw\rC~\n\n# c\n")) == ["A_", "Bw", "C~"]
+    lines = list(iter_corpus_lines("C~\x85\n"))
+    assert lines == ["C~\x85"]
+    rows, summary = scan_corpus(lines, stable_ms=True)
+    assert [r.status for r in rows] == ["parse_error: byte 2: trailing garbage"]
+    assert summary.total == 1 and summary.parse_errors == 1
 
 
 def test_scan_survives_a_header_only_line():
