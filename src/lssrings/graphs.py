@@ -98,6 +98,13 @@ class Graph:
 # str.strip() with no argument also strips Unicode spaces and controls such
 # as \x1c-\x1f, \x85 and \xa0, which graph6 does not allow
 ASCII_SPACE = " \t\n\r\x0b\x0c"
+_ASCII_BLANK_TO_SPACE = str.maketrans("\t\x0b\x0c", "   ")   # within one line
+
+
+def ascii_lines(text: str) -> list[str]:
+    """``text`` cut into lines at \\n, \\r\\n and \\r only: str.splitlines()
+    would also cut at \\x1c-\\x1e, \\x85 and \\u2028."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def parse_graph6(line: str) -> Graph:
@@ -155,28 +162,42 @@ def encode_graph6(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """Parse "n\\ni j\\n..." with 1-based endpoints; '#' lines are comments.
 
-    Errors name the line's number in ``text``, blank and comment lines counted.
+    Lines end only at \\n, \\r\\n and \\r (``ascii_lines``), only ASCII
+    whitespace surrounds and separates the fields, and a number is an
+    optional sign followed by ASCII digits: str.split() and int() would
+    also take Unicode spaces and \\x1c-\\x1f as separators, and '1_0' or
+    Unicode digits as numbers. Errors name the line's number in ``text``,
+    blank and comment lines counted.
     """
-    lines = [(k, ln.strip()) for k, ln in enumerate(text.splitlines(), start=1)]
+    lines = [(k, ln.strip(ASCII_SPACE)) for k, ln in enumerate(ascii_lines(text), start=1)]
     lines = [(k, ln) for k, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError("empty edge-list input")
     k, head = lines[0]
     try:
-        n = int(head)
+        n = _edge_list_int(head)
     except ValueError:
         raise GraphFormatError(f"line {k}: expected vertex count, got {head!r}")
     pairs = []
     for k, ln in lines[1:]:
-        parts = ln.split()
+        parts = [p for p in ln.translate(_ASCII_BLANK_TO_SPACE).split(" ") if p]
         if len(parts) != 2:
             raise GraphFormatError(f"line {k}: expected 'i j', got {ln!r}")
         try:
-            i, j = int(parts[0]), int(parts[1])
+            i, j = _edge_list_int(parts[0]), _edge_list_int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {k}: non-integer endpoint in {ln!r}")
         pairs.append((i, j))
     return Graph.from_edges(n, pairs)
+
+
+def _edge_list_int(field: str) -> int:
+    """``field`` as an int when it is an optional sign and ASCII digits,
+    else ValueError."""
+    digits = field[1:] if field[:1] in ("+", "-") else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {field!r}")
+    return int(field)
 
 
 # ---------------------------------------------------------------------------

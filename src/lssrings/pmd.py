@@ -22,8 +22,9 @@ splits into q positive matchings depends neither on its labels nor on
 its isolated vertices, so one refutation serves every labeling, and the
 lower bound is exhaustion up to isomorphism. ``graphs.canonical_labelling``
 gives the form together with generators of the stage's automorphism
-group, and both are cached per stage mask for the whole solve
-(``keys``): the same residual comes back when parts are removed in
+group. Both are cached per stage mask for the whole solve (``keys``),
+the generators as one edge-image table each, together with the stage's
+edge orbits: the same residual comes back when parts are removed in
 another order, and again at each q, and it is labelled once. The cache
 has no cap; it holds one entry per distinct stage that passes the
 degree bound. ``pmd()`` asks for q = max degree, max degree + 1, ...
@@ -31,20 +32,41 @@ and stops at the first yes, so a success is never looked up again:
 ``decide`` returns the parts of the first split it finds straight up
 the recursion.
 
-``decide`` descends into one maximal part per orbit of the stage's
-automorphism group. It keeps the ``_maximal_parts`` list in its order
-and skips every part in the orbit of an earlier one; ``_orbit`` closes
-a part's edge mask under the generators, mapping the edge {u, v} to
-the edge {p[u], p[v]}. An image that is no edge of the stage means the
-generator is no automorphism, a solver bug, and raises by an explicit
-check that runs under -O. Skipping changes no value, status, node
-count, part or certificate, budget-stopped results included:
+``decide`` enumerates the maximal parts of a stage one edge orbit at a
+time, in the order of the orbits' first edges. The run for orbit O
+forces O's first edge and never branches on an edge of an earlier
+orbit, though it still tests maximality against every stage edge.
+Every part it outputs matches each stage vertex of degree q. Two lemmas
+make this exhaustive up to isomorphism:
 
-- An automorphism s of the stage maps positive matchings to positive
-  matchings (weights w certify M, so w composed with s^-1 certifies
-  s(M)) and keeps inclusion, so it maps maximal parts to maximal parts.
-- The residual stage minus s(M) is the image under s of the stage minus
-  M, so the two are isomorphic: equal max degree, equal canonical form.
+- Lemma 1: an automorphism s of the stage keeps the set of edge orbits
+  that a part meets, since s maps each orbit onto itself. s also maps
+  positive matchings to positive matchings (weights w certify M, so w
+  composed with s^-1 certifies s(M)) and keeps inclusion, so it maps
+  maximal parts to maximal parts. Let M be a maximal part, O the first
+  orbit it meets and e an edge of M in O, and s an automorphism with
+  s(first edge of O) = e. Then s^-1(M) is a maximal part that holds O's
+  first edge and meets no earlier orbit, so the run for O outputs it.
+  Its residual is the image under s^-1 of M's, so the two are
+  isomorphic: equal max degree, equal canonical form, equal answer.
+- Lemma 2: a part that misses a vertex of degree q leaves it at degree
+  q in the residual, whose max degree q then exceeds the q - 1 parts
+  left; ``decide`` refutes that residual at its degree check, without a
+  node. So a missed vertex of degree q ends a branch of the enumeration
+  as soon as no edge the branch may still add can match it. This is
+  sound because positivity is hereditary: an edge that closes a cycle
+  with a part closes one with every larger part, so a branch adds only
+  edges that pass the screen where it stands. Automorphisms keep
+  degrees, so Lemma 1 holds for the parts that Lemma 2 keeps.
+
+Within one run, ``decide`` keeps the part list in its order and skips
+every part in the orbit of an earlier one; ``_orbit`` closes a part's
+edge mask under the cached tables. ``_edge_tables`` maps the edge
+{u, v} to the edge {p[u], p[v]}; an image that is no edge of the stage
+means the generator is no automorphism, a solver bug, and raises by an
+explicit check that runs under -O. Skipping changes no value, status,
+node count, part or certificate, budget-stopped results included:
+
 - A skipped part s(M) comes after its representative M, whose descent
   at q - 1 returned None, since a success returns at once and a budget
   stop raises. It returned None by the q or degree check, which the
@@ -53,6 +75,11 @@ count, part or certificate, budget-stopped results included:
   same check, before any ``_tick``.
 - The first success is found at a representative, so the reported
   parts are the same.
+
+On a stage with no automorphisms every edge is its own orbit, and the
+runs are the subtrees of one whole-stage enumeration that branches on
+edges in index order, so, the cut of Lemma 2 aside, they give exactly
+its part set, sorted run by run.
 
 Every graph takes one path. The seed is ``forest_parts``, which on a
 forest colours the edges properly with max-degree many colours in one
@@ -145,10 +172,10 @@ class _Solver:
             self.vmask[u] |= 1 << i
             self.vmask[v] |= 1 << i
         self.memo_lo: dict[tuple[int, ...], int] = {}     # canonical form -> lower bound
-        # stage mask -> (canonical form, automorphism generators), for each
-        # stage decide gets past the degree bound; the generators pick the
-        # one maximal part per orbit that decide descends into
-        self.keys: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
+        # stage mask -> (canonical form, one edge-image table per automorphism
+        # generator, edge orbits ordered by first edge), for each stage decide
+        # gets past the degree bound
+        self.keys: dict[int, tuple[tuple[int, ...], list[dict[int, int]], list[int]]] = {}
 
     # -- bookkeeping
 
@@ -156,9 +183,6 @@ class _Solver:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise BudgetExhausted
-
-    def _maxdeg(self, mask: int) -> int:
-        return max(((vm & mask).bit_count() for vm in self.vmask), default=0)
 
     # -- stage enumeration
 
@@ -177,32 +201,44 @@ class _Solver:
             hm ^= b
         return host, nbr
 
-    def _maximal_parts(self, host: list[tuple[int, int, int, int]],
-                       nbr: list[int]) -> list[int]:
+    def _maximal_parts(self, host: list[tuple[int, int, int, int]], nbr: list[int],
+                       first: tuple[int, int, int, int], banned: int,
+                       tight: int) -> list[int]:
         """Inclusion-maximal positive matchings of the stage ``(host, nbr)``
-        that ``_stage`` built, largest first."""
+        that ``_stage`` built, largest first: those that hold the edge
+        ``first``, no edge of ``banned`` and every vertex of ``tight``.
+        A branch adds edges past its last one and outside ``banned`` only,
+        but a part is maximal only when no stage edge at all extends it. A
+        branch stops once a vertex of ``tight`` is neither matched nor an
+        end of an edge it may still add (Lemma 2)."""
         out = []
 
         def rec(cur_mask: int, used: int, reach: list[int], start: int):
             self._tick()
             extendable = False
             branches = []
+            coverable = used
             for i, u, v, ends in host:
                 if used & ends:
                     continue
-                if i < start and extendable:
+                if extendable and (i < start or banned >> i & 1):
                     continue   # cannot branch here, and maximality is settled
                 if not _closes_cycle(nbr, used, reach, u, v):
                     extendable = True
-                    if i >= start:
+                    if i >= start and not banned >> i & 1:
                         branches.append((i, u, v, ends))
+                        coverable |= ends
             if not extendable:
-                out.append(cur_mask)
+                if not tight & ~used:
+                    out.append(cur_mask)
+                return
+            if tight & ~coverable:
                 return
             for i, u, v, ends in branches:
                 rec(cur_mask | 1 << i, used | ends, _extend(nbr, used, reach, u, v), i + 1)
 
-        rec(0, 0, [0] * self.g.n, 0)
+        i, u, v, ends = first
+        rec(1 << i, ends, _extend(nbr, 0, [0] * self.g.n, u, v), i + 1)
         return sorted(out, key=lambda pm: (-pm.bit_count(), pm))
 
     # -- decision procedure
@@ -213,61 +249,97 @@ class _Solver:
 
         The checks that need no stage come first: an empty stage (no
         parts), no part left (q <= 0) and the max-degree bound. Only then
-        is the stage built, once, for both its canonical labelling (looked
-        up in ``keys`` first) and ``_maximal_parts``. Only refutations are
-        memoized: ``memo_lo`` is keyed on the canonical form, since a
-        refutation holds for every graph isomorphic to the stage. The
-        search descends into one maximal part per orbit of the stage's
-        automorphism group, the first of each orbit in the list (the
-        module docstring says why this changes no result). The first
-        success returns its parts straight up the recursion."""
+        is the stage built, once, for both its ``keys`` entry (canonical
+        form, edge-image tables and edge orbits) and ``_maximal_parts``.
+        Only refutations are memoized: ``memo_lo`` is keyed on the
+        canonical form, since a refutation holds for every graph
+        isomorphic to the stage. ``_maximal_parts`` runs once per edge
+        orbit, with the vertices of degree q as ``tight``, and within a
+        run the search descends into the first part of each orbit of
+        parts; the module docstring says why neither moves a value. The
+        first success returns its parts straight up the recursion."""
         if mask == 0:
             return []
-        if q <= 0 or self._maxdeg(mask) > q:
+        if q <= 0:
+            return None
+        degrees = [(vm & mask).bit_count() for vm in self.vmask]
+        if max(degrees) > q:
             return None
         host, nbr = self._stage(mask)
         entry = self.keys.get(mask)
         if entry is None:
             key, _, gens = canonical_labelling(nbr)
-            entry = self.keys[mask] = (key, gens)
-        key, gens = entry
+            entry = self.keys[mask] = (key, *self._edge_tables(host, gens, mask))
+        key, tables, orbits = entry
         if self.memo_lo.get(key, 1) > q:
             return None
         self._tick()
-        covered: set[int] = set()      # the orbits of the parts tried so far
-        for pm in self._maximal_parts(host, nbr):
-            if pm in covered:
-                continue
-            if gens:
-                covered |= self._orbit(pm, gens, mask)
-            rest = self.decide(mask & ~pm, q - 1)
-            if rest is not None:
-                return [pm, *rest]
+        tight = sum(1 << v for v, d in enumerate(degrees) if d == q)
+        banned = 0
+        for orbit in orbits:
+            # the orbit's first edge sits in host after every stage edge below it
+            first = host[(mask & ((orbit & -orbit) - 1)).bit_count()]
+            covered: set[int] = set()      # the orbits of the parts tried so far
+            for pm in self._maximal_parts(host, nbr, first, banned, tight):
+                if pm in covered:
+                    continue
+                if tables:
+                    covered |= self._orbit(pm, tables)
+                rest = self.decide(mask & ~pm, q - 1)
+                if rest is not None:
+                    return [pm, *rest]
+            banned |= orbit
         self.memo_lo[key] = q + 1
         return None
 
-    def _orbit(self, pm: int, gens, stage: int) -> set[int]:
-        """The edge masks that the group ``gens`` generates maps ``pm`` onto.
+    def _edge_tables(self, host, gens, stage: int) -> tuple[list[dict[int, int]], list[int]]:
+        """One table per generator in ``gens``, mapping each stage edge's
+        bit to the bit of its image, and the stage's edge orbits as masks,
+        ordered by their lowest edge.
 
         A vertex map p sends the edge {u, v} to ``vmask[p[u]] & vmask[p[v]]``,
         the bit of the edge {p[u], p[v]}. An image that is 0 or lies outside
         ``stage`` means p is not an automorphism of the stage: a solver
-        bug, which raises."""
-        edges, vmask = self.edges, self.vmask
+        bug, which raises by an explicit check that runs under -O."""
+        vmask = self.vmask
+        tables = []
+        for p in gens:
+            table = {}
+            for i, u, v, _ in host:
+                e = vmask[p[u]] & vmask[p[v]]
+                if not e or e & ~stage:
+                    raise RuntimeError(f"generator {p} maps the edge {(u + 1, v + 1)} "
+                                       "outside the stage")
+                table[1 << i] = e
+            tables.append(table)
+        orbits, left = [], stage
+        while left:
+            orbit = todo = left & -left
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                for table in tables:
+                    e = table[b]
+                    if not e & orbit:
+                        orbit |= e
+                        todo |= e
+            orbits.append(orbit)
+            left &= ~orbit
+        return tables, orbits
+
+    @staticmethod
+    def _orbit(pm: int, tables: list[dict[int, int]]) -> set[int]:
+        """The edge masks that the group with edge-image ``tables`` maps
+        ``pm`` onto."""
         orbit, todo = {pm}, [pm]
         while todo:
             cur = todo.pop()
-            for p in gens:
+            for table in tables:
                 img, rest = 0, cur
                 while rest:
                     b = rest & -rest
                     rest ^= b
-                    u, v = edges[b.bit_length() - 1]
-                    e = vmask[p[u]] & vmask[p[v]]
-                    if not e or e & ~stage:
-                        raise RuntimeError(f"generator {p} maps the edge {(u + 1, v + 1)} "
-                                           "outside the stage")
-                    img |= e
+                    img |= table[b]
                 if img not in orbit:
                     orbit.add(img)
                     todo.append(img)

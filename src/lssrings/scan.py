@@ -19,7 +19,7 @@ import time
 import traceback
 from dataclasses import dataclass, fields
 
-from .graphs import (ASCII_SPACE, Graph, GraphFormatError, degeneracy,
+from .graphs import (ASCII_SPACE, Graph, GraphFormatError, ascii_lines, degeneracy,
                      encode_graph6, is_bipartite, max_degree, parse_graph6)
 from .pmd import check_node_budget
 from .pmd import pmd as solve_pmd
@@ -129,9 +129,9 @@ def _scan_one(args) -> ScanRow | None:
 
 def iter_corpus_lines(text: str):
     """The corpus's nonblank lines that are not '#' comments. Lines end only
-    at \\n, \\r\\n and \\r: str.splitlines() would also end them at
-    \\x1c-\\x1e, \\x85 and \\u2028, which graph6 must refuse, not skip."""
-    for raw in text.replace("\r", "\n").split("\n"):
+    at \\n, \\r\\n and \\r (``ascii_lines``), so \\x1c-\\x1e, \\x85 and
+    \\u2028 stay in a line, which graph6 must refuse, not skip."""
+    for raw in ascii_lines(text):
         line = raw.strip(ASCII_SPACE)
         if line and not line.startswith("#"):
             yield line

@@ -146,6 +146,34 @@ def test_parse_edge_list_errors_name_the_physical_line():
         parse_edge_list("# only a comment\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("3\n1 2\x1c2 3\n", "line 2: expected 'i j', got '1 2\\x1c2 3'"),
+    ("3\n\x85\n1 x\n", "line 2: expected 'i j', got '\\x85'"),
+    ("3\r\n1 2\r\n\r\n1 x\r\n", "line 4: non-integer endpoint in '1 x'"),
+    ("3\r1 2\r\r1 x\r", "line 4: non-integer endpoint in '1 x'"),
+    ("3\n1\u20032\n", "line 2: expected 'i j', got '1\\u20032'"),
+    ("3\n1 1_0\n", "line 2: non-integer endpoint in '1 1_0'"),
+    ("3\n1 \u0662\n", "line 2: non-integer endpoint in '1 \u0662'"),
+    ("1_0\n1 2\n", "line 1: expected vertex count, got '1_0'"),
+    ("\u0663\n1 2\n", "line 1: expected vertex count, got '\u0663'"),
+    ("\xa03\n1 2\n", "line 1: expected vertex count, got '\\xa03'"),
+], ids=["x1c", "x85", "crlf", "cr", "em-space", "underscore", "arabic-digit",
+        "underscore-count", "arabic-count", "nbsp"])
+def test_parse_edge_list_reads_ascii_lines_and_numbers_only(text, message):
+    """Lines end at \\n, \\r\\n and \\r only, only ASCII whitespace is
+    stripped or separates fields, and a number is an optional sign and
+    ASCII digits."""
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        parse_edge_list(text)
+
+
+def test_parse_edge_list_keeps_ascii_blanks_and_signs():
+    g = parse_edge_list(" 3 \r\n\t+1\x0b\x0c2\t\r\n# c\r2  3")
+    assert g.n == 3 and g.edge_labels() == ((1, 2), (2, 3))
+    with pytest.raises(GraphFormatError, match="outside"):
+        parse_edge_list("3\n-1 2")
+
+
 def test_degeneracy_known_values():
     assert degeneracy(complete(5))[0] == 4
     assert degeneracy(path(4))[0] == 1

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import pickle
 import random
+import re
 import types
 
 import pytest
@@ -141,7 +142,7 @@ def test_budget_stop_keeps_the_greedy_seed(budget):
 def test_results_do_not_depend_on_the_clock(monkeypatch):
     """The node budget is the only stop: a clock that jumps an hour on
     every read changes no value, status, node count or decomposition."""
-    cases = [(complete(7), None, (11, "exact", 1019)),
+    cases = [(complete(7), None, (11, "exact", 291)),
              (complete(9), 5000, (15, "upper_bound_only", 5001))]
     steady = [pmd(g, node_budget=nb) for g, nb, _ in cases]
     now = itertools.count(0.0, 3600.0)
@@ -173,10 +174,15 @@ def _count_labellings(monkeypatch, generators=True):
     return calls
 
 
+CROWN_5 = Graph.from_edges(10, [(i, 5 + j) for i in range(1, 6)
+                                for j in range(1, 6) if i != j])
+
+
 def test_orbit_branching_changes_only_time(connected_n6, monkeypatch):
-    """Descending into one maximal part per automorphism orbit leaves
-    value, status, nodes, parts and certificates as they are without it,
-    a budget-stopped solve included."""
+    """Descending into one maximal part per orbit of parts, within each
+    edge orbit's run, leaves value, status, nodes, parts and certificates
+    as they are with every part descended into, a budget-stopped solve
+    included."""
     cases = [(g, None) for g in connected_n6]
     cases += [(g, None) for g in (complete(7), complete_bipartite(4, 4),
                                   complete_bipartite(5, 5),
@@ -189,8 +195,37 @@ def test_orbit_branching_changes_only_time(connected_n6, monkeypatch):
 
     branched = [fields(pmd(g, node_budget=nb)) for g, nb in cases]
     assert branched[-1][1] == "upper_bound_only"
-    _count_labellings(monkeypatch, generators=False)
+    monkeypatch.setattr(_Solver, "_orbit", staticmethod(lambda pm, tables: {pm}))
     assert [fields(pmd(g, node_budget=nb)) for g, nb in cases] == branched
+
+
+def test_edge_orbits_and_forced_cover_change_no_value(connected_n6, monkeypatch):
+    """Value and status are the same with the automorphism generators
+    removed (every edge its own orbit: the whole-stage enumeration) and
+    with the forced-cover cut off, and every decomposition passes the
+    check."""
+    graphs = [*connected_n6, *map(complete, range(5, 10)), PETERSEN, CROWN_5]
+    graphs += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 11 - a)]
+
+    def solve_all():
+        out = []
+        for g in graphs:
+            r = pmd(g)
+            assert verify_decomposition(g, r.decomposition), g
+            out.append((r.value, r.status))
+        return out
+
+    pruned = solve_all()
+    assert all(status == "exact" for _, status in pruned)
+    maximal_parts = _Solver._maximal_parts
+    monkeypatch.setattr(_Solver, "_maximal_parts",
+                        lambda self, host, nbr, first, banned, tight:
+                        maximal_parts(self, host, nbr, first, banned, 0))
+    assert solve_all() == pruned
+    _count_labellings(monkeypatch, generators=False)
+    assert solve_all() == pruned
+    monkeypatch.setattr(_Solver, "_maximal_parts", maximal_parts)
+    assert solve_all() == pruned
 
 
 def test_orbit_branching_labels_fewer_stages(monkeypatch):
@@ -205,16 +240,19 @@ def test_orbit_branching_labels_fewer_stages(monkeypatch):
     assert 0 < branched < 184
 
 
-@pytest.mark.parametrize("drop, edge", [(0, (2, 3)), (1, (1, 2))],
+@pytest.mark.parametrize("drop, edge", [(0, (3, 4)), (1, (2, 3))],
                          ids=["non-edge", "outside-stage"])
 def test_orbit_rejects_a_map_that_is_no_automorphism(drop, edge):
     """Swapping vertices 1 and 3 of the paw sends its edge {3, 4} to the
     non-edge {1, 4}; on the triangle 2 3 4 alone it sends {2, 3} to
-    {1, 2}, an edge of the graph but not of the stage."""
+    {1, 2}, an edge of the graph but not of the stage. The table builder
+    refuses both."""
     s = _Solver(EXAMPLE, 10 ** 6)
     stage = ((1 << s.m) - 1) & ~(drop << s.edges.index((0, 1)))
-    with pytest.raises(RuntimeError, match="outside the stage"):
-        s._orbit(1 << s.edges.index(edge), [(2, 1, 0, 3)], stage)
+    host, _ = s._stage(stage)
+    message = f"maps the edge {edge} outside the stage"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        s._edge_tables(host, [(2, 1, 0, 3)], stage)
 
 
 @pytest.mark.parametrize("budget", [0, -5, True])

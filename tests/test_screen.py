@@ -147,9 +147,9 @@ def test_search_node_counts_are_pinned():
     refutation is memoized per isomorphism class of the residual graph, so
     a change to the screen, the enumeration or the canonical form that
     alters which nodes the search visits shows here."""
-    assert pmd(complete(5)).nodes == 91
-    assert pmd(complete(6)).nodes == 316
-    assert pmd(complete_bipartite(4, 4)).nodes == 174
+    assert pmd(complete(5)).nodes == 24
+    assert pmd(complete(6)).nodes == 83
+    assert pmd(complete_bipartite(4, 4)).nodes == 29
 
 
 def test_search_results_are_pinned():
@@ -157,12 +157,22 @@ def test_search_results_are_pinned():
     from the orbit-pruned search and the per-solve cache of keys by stage
     mask, and the search descends into one maximal part per automorphism
     orbit; the CI step "Search is unchanged" checks the same figures."""
-    for g, expected in [(complete(8), (13, "exact", 4028)),
-                        (complete(9), (15, "exact", 18047)),
-                        (complete_bipartite(5, 5), (9, "exact", 940)),
-                        (complete_bipartite(6, 6), (11, "exact", 7596))]:
+    for g, expected in [(complete(8), (13, "exact", 1214)),
+                        (complete(9), (15, "exact", 5877)),
+                        (complete_bipartite(5, 5), (9, "exact", 137)),
+                        (complete_bipartite(6, 6), (11, "exact", 1041))]:
         r = pmd(g)
         assert (r.value, r.status, r.nodes) == expected
+
+
+def test_hypercube_q4_is_exact_within_the_node_target():
+    """Q4 is 4-regular and bipartite with pmd 6; the search proves it in
+    fewer than 30,000 nodes, ROADMAP item 5's target."""
+    q4 = Graph.from_edges(16, [(v + 1, (v | 1 << k) + 1) for v in range(16)
+                               for k in range(4) if not v >> k & 1])
+    r = pmd(q4)
+    assert (r.value, r.status) == (6, "exact")
+    assert r.nodes < 30_000
 
 
 def test_solver_never_calls_the_batch_kernel(connected_n6, monkeypatch):
