@@ -16,9 +16,9 @@ import json
 import os
 import sys
 
-from .graphs import (Graph, GraphFormatError, alpha, degeneracy, encode_graph6,
-                     example, family, is_bipartite, max_degree, parse_edge_list,
-                     parse_graph6)
+from .graphs import (Graph, GraphFormatError, alpha, ascii_int, degeneracy,
+                     encode_graph6, example, family, is_bipartite, max_degree,
+                     parse_edge_list, parse_graph6)
 from .groebner import DeskScaleExceeded
 from .pmd import pmd
 from .reports import VERIFY_SUITES, invariants_of, properties_at
@@ -152,7 +152,7 @@ def cmd_scan(args) -> int:
 
 def cmd_trees(args) -> int:
     if args.check:
-        summary = check_forest_pmd(args.n, node_budget=args.budget)
+        summary = check_forest_pmd(args.n)
         print(f"checked {summary['checked']} trees up to n={args.n}")
         if not summary["ok"]:
             for f in summary["failures"]:
@@ -174,7 +174,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def positive_int(text: str) -> int:
-    value = int(text)
+    value = ascii_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("target", choices=list(VERIFY_SUITES))
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=ascii_int, default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_verify)
 
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=positive_int, required=True)
     sp.add_argument("--check", action="store_true",
                     help="assert pmd = degree on every tree")
-    sp.add_argument("--budget", type=positive_int, default=None)
     sp.set_defaults(func=cmd_trees)
     return p
 

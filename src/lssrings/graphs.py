@@ -175,7 +175,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError("empty edge-list input")
     k, head = lines[0]
     try:
-        n = _edge_list_int(head)
+        n = ascii_int(head)
     except ValueError:
         raise GraphFormatError(f"line {k}: expected vertex count, got {head!r}")
     pairs = []
@@ -184,16 +184,16 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"line {k}: expected 'i j', got {ln!r}")
         try:
-            i, j = _edge_list_int(parts[0]), _edge_list_int(parts[1])
+            i, j = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise GraphFormatError(f"line {k}: non-integer endpoint in {ln!r}")
         pairs.append((i, j))
     return Graph.from_edges(n, pairs)
 
 
-def _edge_list_int(field: str) -> int:
-    """``field`` as an int when it is an optional sign and ASCII digits,
-    else ValueError."""
+def ascii_int(field: str) -> int:
+    """``field`` as an int when it is an optional sign and ASCII digits, else
+    ValueError: the number rule of edge lists and of the CLI's options."""
     digits = field[1:] if field[:1] in ("+", "-") else field
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {field!r}")
@@ -252,17 +252,18 @@ _FAMILIES = {   # name -> (constructor, number of parameters)
 
 
 def family(kind: str, *params) -> Graph:
-    """The named family's graph; each parameter is a nonnegative int or
-    decimal string, or a GraphFormatError names the family."""
+    """The named family's graph; each parameter is a nonnegative int or a
+    string of ASCII digits with ASCII blanks around it, or a
+    GraphFormatError names the family."""
     if kind not in _FAMILIES:
         raise GraphFormatError(f"unknown family {kind!r}")
     make, arity = _FAMILIES[kind]
     if len(params) != arity:
         raise GraphFormatError(f"family {kind!r} takes {arity} parameter"
                                f"{'s' if arity > 1 else ''}, got {len(params)}")
-    texts = [str(p).strip() for p in params]
+    texts = [str(p).strip(ASCII_SPACE) for p in params]
     for p, text in zip(params, texts):
-        if not text.isdecimal():
+        if not (text.isascii() and text.isdigit()):
             raise GraphFormatError(f"family {kind!r}: parameter {p!r} "
                                    "is not a nonnegative integer")
     return make(*map(int, texts))
@@ -472,7 +473,7 @@ def _component_labelling(nbr, comp: int) -> tuple[int, list[int], list[list[int]
             return
         c = cells[split]
         head, tail = cells[:split], cells[split + 1:]
-        orbit, fixing, seen = 0, [], 0    # explored children's orbit; its generators
+        done, fixing, seen = 0, [], 0    # explored children's orbit; its generators
         rest = c
         while rest:
             b = rest & -rest
@@ -481,28 +482,35 @@ def _component_labelling(nbr, comp: int) -> tuple[int, list[int], list[list[int]
                 fixing += [g for g in autos[seen:] if all(g[v] == v for v in fixed)]
                 seen = len(autos)
             if fixing:
-                orbit = _orbit(orbit, fixing)
-            if orbit & b:
+                done = orbit(done, fixing)
+            if done & b:
                 continue
             visit(_refine(nbr, head + [b, c ^ b] + tail, [b]), fixed + [b.bit_length() - 1])
-            orbit |= b
+            done |= b
 
     visit(_refine(nbr, [comp], [comp]), [])
     code = min(first)
     return code, first[code], autos
 
 
-def _orbit(mask: int, gens: list[list[int]]) -> int:
-    """The vertices the group that ``gens`` generate maps ``mask`` onto."""
+def image(mask: int, img) -> int:
+    """The mask of the bits ``img[i]`` for the bits i of ``mask``."""
+    out = 0
+    while mask:
+        i = mask.bit_length() - 1
+        out |= 1 << img[i]
+        mask ^= 1 << i
+    return out
+
+
+def orbit(mask: int, gens) -> int:
+    """The union of the orbits of the bits of ``mask`` under the group that
+    the image lists ``gens`` generate: vertex or edge orbits."""
     new = mask
     while new:
         img = 0
         for g in gens:
-            rest = new
-            while rest:
-                b = rest & -rest
-                img |= 1 << g[b.bit_length() - 1]
-                rest ^= b
+            img |= image(new, g)
         new = img & ~mask
         mask |= new
     return mask

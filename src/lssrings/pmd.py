@@ -22,15 +22,13 @@ splits into q positive matchings depends neither on its labels nor on
 its isolated vertices, so one refutation serves every labeling, and the
 lower bound is exhaustion up to isomorphism. ``graphs.canonical_labelling``
 gives the form together with generators of the stage's automorphism
-group. Both are cached per stage mask for the whole solve (``keys``),
-the generators as one edge-image table each, together with the stage's
-edge orbits: the same residual comes back when parts are removed in
-another order, and again at each q, and it is labelled once. The cache
-has no cap; it holds one entry per distinct stage that passes the
-degree bound. ``pmd()`` asks for q = max degree, max degree + 1, ...
-and stops at the first yes, so a success is never looked up again:
-``decide`` returns the parts of the first split it finds straight up
-the recursion.
+group, and both are cached per stage mask for the whole solve (``keys``):
+the same residual comes back when parts are removed in another order,
+and again at each q, and it is labelled once. The cache has no cap; it
+holds one entry per distinct stage that passes the degree bound.
+``pmd()`` asks for q = max degree, max degree + 1, ... and stops at the
+first yes, so a success is never looked up again: ``decide`` returns
+the parts of the first split it finds straight up the recursion.
 
 ``decide`` enumerates the maximal parts of a stage one edge orbit at a
 time, in the order of the orbits' first edges. The run for orbit O
@@ -59,13 +57,12 @@ make this exhaustive up to isomorphism:
   edges that pass the screen where it stands. Automorphisms keep
   degrees, so Lemma 1 holds for the parts that Lemma 2 keeps.
 
-Within one run, ``decide`` keeps the part list in its order and skips
-every part in the orbit of an earlier one; ``_orbit`` closes a part's
-edge mask under the cached tables. ``_edge_tables`` maps the edge
-{u, v} to the edge {p[u], p[v]}; an image that is no edge of the stage
-means the generator is no automorphism, a solver bug, and raises by an
-explicit check that runs under -O. Skipping changes no value, status,
-node count, part or certificate, budget-stopped results included:
+Only for a stage it enumerates does ``decide`` turn the generators into
+edge image lists (``_edge_images``), kept for that enumeration alone:
+``graphs.orbit`` gives the edge orbits, and ``_orbit`` maps parts with
+``graphs.image``. Within one run the search skips every part in the
+orbit of an earlier one. Skipping changes no value, status, node count,
+part or certificate, budget-stopped results included:
 
 - A skipped part s(M) comes after its representative M, whose descent
   at q - 1 returned None, since a success returns at once and a budget
@@ -102,7 +99,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graphs import Graph, canonical_labelling, max_degree
+from .graphs import Graph, canonical_labelling, image, max_degree, orbit
 from .posmatch import (WeightCertificate, _closes_cycle, _extend, _stage_fault,
                        is_positive_matching, walk_weights)
 # Not called here; perfbench/tracing.py wraps lssrings.pmd.check_certificate.
@@ -172,10 +169,9 @@ class _Solver:
             self.vmask[u] |= 1 << i
             self.vmask[v] |= 1 << i
         self.memo_lo: dict[tuple[int, ...], int] = {}     # canonical form -> lower bound
-        # stage mask -> (canonical form, one edge-image table per automorphism
-        # generator, edge orbits ordered by first edge), for each stage decide
-        # gets past the degree bound
-        self.keys: dict[int, tuple[tuple[int, ...], list[dict[int, int]], list[int]]] = {}
+        # stage mask -> (canonical form, automorphism generators as vertex
+        # image lists), for each stage decide gets past the degree bound
+        self.keys: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
 
     # -- bookkeeping
 
@@ -248,16 +244,15 @@ class _Solver:
         of the stage graph on ``mask`` into <= q positive matchings, or None.
 
         The checks that need no stage come first: an empty stage (no
-        parts), no part left (q <= 0) and the max-degree bound. Only then
-        is the stage built, once, for both its ``keys`` entry (canonical
-        form, edge-image tables and edge orbits) and ``_maximal_parts``.
-        Only refutations are memoized: ``memo_lo`` is keyed on the
-        canonical form, since a refutation holds for every graph
-        isomorphic to the stage. ``_maximal_parts`` runs once per edge
-        orbit, with the vertices of degree q as ``tight``, and within a
-        run the search descends into the first part of each orbit of
-        parts; the module docstring says why neither moves a value. The
-        first success returns its parts straight up the recursion."""
+        parts), no part left (q <= 0) and the max-degree bound. The stage
+        is then built at most once: for a new ``keys`` entry, or else only
+        if ``memo_lo`` leaves it to enumerate. Only refutations are
+        memoized: ``memo_lo`` is keyed on the canonical form, since a
+        refutation holds for every graph isomorphic to the stage.
+        ``_maximal_parts`` runs once per edge orbit, with the vertices of
+        degree q as ``tight``, and within a run the search descends into
+        the first part of each orbit of parts; the module docstring says
+        why neither moves a value."""
         if mask == 0:
             return []
         if q <= 0:
@@ -265,85 +260,69 @@ class _Solver:
         degrees = [(vm & mask).bit_count() for vm in self.vmask]
         if max(degrees) > q:
             return None
-        host, nbr = self._stage(mask)
+        stage = None
         entry = self.keys.get(mask)
         if entry is None:
-            key, _, gens = canonical_labelling(nbr)
-            entry = self.keys[mask] = (key, *self._edge_tables(host, gens, mask))
-        key, tables, orbits = entry
+            stage = self._stage(mask)
+            key, _, gens = canonical_labelling(stage[1])
+            entry = self.keys[mask] = (key, gens)
+        key, gens = entry
         if self.memo_lo.get(key, 1) > q:
             return None
+        host, nbr = stage or self._stage(mask)
         self._tick()
+        images = self._edge_images(host, gens, mask)
         tight = sum(1 << v for v, d in enumerate(degrees) if d == q)
         banned = 0
-        for orbit in orbits:
-            # the orbit's first edge sits in host after every stage edge below it
-            first = host[(mask & ((orbit & -orbit) - 1)).bit_count()]
+        while banned != mask:
+            low = (mask ^ banned) & -(mask ^ banned)    # the next edge orbit's first edge
+            # it sits in host after every stage edge below it
+            first = host[(mask & (low - 1)).bit_count()]
             covered: set[int] = set()      # the orbits of the parts tried so far
-            for pm in self._maximal_parts(host, nbr, first, banned, tight):
+            parts = self._maximal_parts(host, nbr, first, banned, tight)
+            for pm in parts:
                 if pm in covered:
                     continue
-                if tables:
-                    covered |= self._orbit(pm, tables)
+                if images and pm != parts[-1]:     # no part after the last to skip
+                    covered |= self._orbit(pm, images)
                 rest = self.decide(mask & ~pm, q - 1)
                 if rest is not None:
                     return [pm, *rest]
-            banned |= orbit
+            banned |= orbit(low, images)
         self.memo_lo[key] = q + 1
         return None
 
-    def _edge_tables(self, host, gens, stage: int) -> tuple[list[dict[int, int]], list[int]]:
-        """One table per generator in ``gens``, mapping each stage edge's
-        bit to the bit of its image, and the stage's edge orbits as masks,
-        ordered by their lowest edge.
-
-        A vertex map p sends the edge {u, v} to ``vmask[p[u]] & vmask[p[v]]``,
-        the bit of the edge {p[u], p[v]}. An image that is 0 or lies outside
-        ``stage`` means p is not an automorphism of the stage: a solver
-        bug, which raises by an explicit check that runs under -O."""
+    def _edge_images(self, host, gens, stage: int) -> list[list[int]]:
+        """Each vertex map p in ``gens`` as an edge image list: entry i is the
+        index of {p[u], p[v]} for each stage edge i = {u, v}. An image off
+        the stage means p is no automorphism, a solver bug, which raises by
+        an explicit check that runs under -O."""
         vmask = self.vmask
-        tables = []
+        out = []
         for p in gens:
-            table = {}
+            img = list(range(self.m))
             for i, u, v, _ in host:
                 e = vmask[p[u]] & vmask[p[v]]
                 if not e or e & ~stage:
                     raise RuntimeError(f"generator {p} maps the edge {(u + 1, v + 1)} "
                                        "outside the stage")
-                table[1 << i] = e
-            tables.append(table)
-        orbits, left = [], stage
-        while left:
-            orbit = todo = left & -left
-            while todo:
-                b = todo & -todo
-                todo ^= b
-                for table in tables:
-                    e = table[b]
-                    if not e & orbit:
-                        orbit |= e
-                        todo |= e
-            orbits.append(orbit)
-            left &= ~orbit
-        return tables, orbits
+                img[i] = e.bit_length() - 1
+            out.append(img)
+        return out
 
     @staticmethod
-    def _orbit(pm: int, tables: list[dict[int, int]]) -> set[int]:
-        """The edge masks that the group with edge-image ``tables`` maps
+    def _orbit(pm: int, gens: list[list[int]]) -> set[int]:
+        """The edge masks that the group with edge image lists ``gens`` maps
         ``pm`` onto."""
-        orbit, todo = {pm}, [pm]
+        out, todo = {pm}, [pm]
         while todo:
             cur = todo.pop()
-            for table in tables:
-                img, rest = 0, cur
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    img |= table[b]
-                if img not in orbit:
-                    orbit.add(img)
+            for g in gens:
+                img = image(cur, g)
+                if img not in out:
+                    out.add(img)
                     todo.append(img)
-        return orbit
+        return out
 
     # -- construction helpers
 

@@ -221,7 +221,7 @@ def enumerate_trees(n: int):
         yield pruefer_decode(n, seq)
 
 
-def check_forest_pmd(n_max: int, node_budget=None) -> dict:
+def check_forest_pmd(n_max: int) -> dict:
     """Assert pmd = degree on every labeled tree up to n_max vertices.
 
     Any mismatch is a solver defect (the forest equality is a theorem) and
@@ -231,7 +231,7 @@ def check_forest_pmd(n_max: int, node_budget=None) -> dict:
     failures = []
     for n in range(1, n_max + 1):
         for g in enumerate_trees(n):
-            res = solve_pmd(g, node_budget=node_budget)
+            res = solve_pmd(g)
             delta = max_degree(g)
             if res.status != "exact" or res.value != delta:
                 failures.append({"graph6": encode_graph6(g), "pmd": res.value,

@@ -335,3 +335,25 @@ def test_generator_orbits_match_networkx_on_the_atlas():
                 images[v].add(w)
         expected = {frozenset(images[v]) for v in range(n) if nbr[v]}
         assert {o for o in _orbits(n, gens) if nbr[min(o)]} == expected, list(gg.edges())
+
+
+def test_solver_edge_orbits_match_networkx_on_the_atlas():
+    """The edge orbits the solver gets from the generators, through its
+    edge image lists and graphs.orbit, are those of all of
+    GraphMatcher(g, g)'s automorphisms."""
+    for gg in graph_atlas_g():
+        n = gg.number_of_nodes()
+        if n > 6:
+            break
+        g = Graph.from_edges(n, [(u + 1, v + 1) for u, v in gg.edges()])
+        s = pmd_module._Solver(g, 1)
+        full = (1 << s.m) - 1
+        host, nbr = s._stage(full)
+        _, _, gens = canonical_labelling(nbr)
+        images = s._edge_images(host, gens, full)
+        got = {graphs.orbit(1 << i, images) for i in range(s.m)}
+        index = {e: i for i, e in enumerate(g.edges)}
+        isos = list(GraphMatcher(gg, gg).isomorphisms_iter())
+        expected = {sum({1 << index[tuple(sorted((iso[u], iso[v])))] for iso in isos})
+                    for u, v in g.edges}
+        assert got == expected, list(gg.edges())

@@ -268,6 +268,20 @@ def test_family_refuses_non_integer_and_negative_parameters():
             family(kind, *params)
 
 
+@pytest.mark.parametrize("param, shown", [
+    ("\u0663", "'\u0663'"), ("\uff13", "'\uff13'"), ("\u20033", "'\\u20033'"),
+    ("3\xa0", "'3\\xa0'"), ("\x1c3", "'\\x1c3'"), ("1_0", "'1_0'"), ("+3", "'+3'"),
+], ids=["arabic-digit", "fullwidth-digit", "em-space", "nbsp", "x1c", "underscore", "sign"])
+def test_family_parameters_are_ascii_digits_only(param, shown):
+    """A parameter is ASCII digits with only ASCII blanks around them, as
+    in edge lists; str.strip() and isdecimal() also took Unicode spaces
+    and digits."""
+    message = f"family 'star': parameter {shown} is not a nonnegative integer"
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+        family("star", param)
+    assert family("star", " \t3\n") == star(3)
+
+
 def test_delete_vertex_and_induced():
     s = star(4)
     smaller = delete_vertex(s, 1)         # drop a leaf

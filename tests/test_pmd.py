@@ -195,7 +195,7 @@ def test_orbit_branching_changes_only_time(connected_n6, monkeypatch):
 
     branched = [fields(pmd(g, node_budget=nb)) for g, nb in cases]
     assert branched[-1][1] == "upper_bound_only"
-    monkeypatch.setattr(_Solver, "_orbit", staticmethod(lambda pm, tables: {pm}))
+    monkeypatch.setattr(_Solver, "_orbit", staticmethod(lambda pm, gens: {pm}))
     assert [fields(pmd(g, node_budget=nb)) for g, nb in cases] == branched
 
 
@@ -228,6 +228,29 @@ def test_edge_orbits_and_forced_cover_change_no_value(connected_n6, monkeypatch)
     assert solve_all() == pruned
 
 
+def test_edge_images_are_built_for_enumerated_stages_only(monkeypatch):
+    """A stage whose canonical form ``memo_lo`` already refutes gets no edge
+    image lists: on K9 they are built once per enumeration, 327 times,
+    where building them with the ``keys`` entry took 531."""
+    built, enumerated = [], []
+    edge_images, maximal_parts = _Solver._edge_images, _Solver._maximal_parts
+
+    def counted_images(self, host, gens, stage):
+        built.append(stage)
+        return edge_images(self, host, gens, stage)
+
+    def counted_parts(self, host, nbr, first, banned, tight):
+        if not banned:                      # an enumeration's first run
+            enumerated.append(1)
+        return maximal_parts(self, host, nbr, first, banned, tight)
+
+    monkeypatch.setattr(_Solver, "_edge_images", counted_images)
+    monkeypatch.setattr(_Solver, "_maximal_parts", counted_parts)
+    res = pmd(complete(9))
+    assert (res.value, res.status, res.nodes) == (15, "exact", 5877)
+    assert len(built) == len(enumerated) == 327
+
+
 def test_orbit_branching_labels_fewer_stages(monkeypatch):
     """Skipped parts are never keyed: K7 labels 184 stages without orbit
     branching and fewer with it."""
@@ -245,14 +268,14 @@ def test_orbit_branching_labels_fewer_stages(monkeypatch):
 def test_orbit_rejects_a_map_that_is_no_automorphism(drop, edge):
     """Swapping vertices 1 and 3 of the paw sends its edge {3, 4} to the
     non-edge {1, 4}; on the triangle 2 3 4 alone it sends {2, 3} to
-    {1, 2}, an edge of the graph but not of the stage. The table builder
-    refuses both."""
+    {1, 2}, an edge of the graph but not of the stage. The edge image
+    builder refuses both."""
     s = _Solver(EXAMPLE, 10 ** 6)
     stage = ((1 << s.m) - 1) & ~(drop << s.edges.index((0, 1)))
     host, _ = s._stage(stage)
     message = f"maps the edge {edge} outside the stage"
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        s._edge_tables(host, [(2, 1, 0, 3)], stage)
+        s._edge_images(host, [(2, 1, 0, 3)], stage)
 
 
 @pytest.mark.parametrize("budget", [0, -5, True])

@@ -385,6 +385,52 @@ def test_invalid_node_budget_stops_the_scan(tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["pmd", "complete:5", "--budget", "1_0"],
+     "lssrings pmd: error: argument --budget: invalid positive_int value: '1_0'"),
+    (["pmd", "complete:5", "--budget", "\u0663"],
+     "lssrings pmd: error: argument --budget: invalid positive_int value: '\u0663'"),
+    (["thresholds", "star:3", "--d", "\uff13"],
+     "lssrings thresholds: error: argument --d: invalid positive_int value: '\uff13'"),
+    (["trees", "--n", " 3"],
+     "lssrings trees: error: argument --n: invalid positive_int value: ' 3'"),
+    (["verify", "path", "--n", "\u0664"],
+     "lssrings verify: error: argument --n: invalid ascii_int value: '\u0664'"),
+    (["verify", "path", "--n", "4_0"],
+     "lssrings verify: error: argument --n: invalid ascii_int value: '4_0'"),
+], ids=["budget-underscore", "budget-arabic", "d-fullwidth", "trees-blank",
+        "verify-arabic", "verify-underscore"])
+def test_cli_integers_are_ascii_digits_only(argv, message, capsys):
+    """Every integer option reads an optional sign and ASCII digits, as
+    edge lists do; int() also took '1_0', Unicode digits and blanks."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.endswith(message + "\n")
+
+
+def test_cli_family_parameters_are_ascii_digits_only(capsys):
+    for spec, shown in (("star:\u0663", "'\u0663'"), ("star:\u20033", "'\\u20033'")):
+        assert cli_main(["invariants", spec]) == 1
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (f"error: family 'star': parameter {shown} "
+                                "is not a nonnegative integer\n")
+
+
+def test_trees_take_no_node_budget(capsys):
+    """A forest never reaches the search, so ``trees`` has no --budget and
+    check_forest_pmd no node_budget=."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["trees", "--n", "6", "--check", "--budget", "1"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "lssrings: error: unrecognized arguments: --budget 1\n")
+    with pytest.raises(TypeError):
+        check_forest_pmd(3, node_budget=1)
+
+
 def test_cli_trees_roundtrip(capsys):
     assert cli_main(["trees", "--n", "3"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
