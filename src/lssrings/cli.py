@@ -73,7 +73,8 @@ def cmd_pmd(args) -> int:
     if args.certificate:
         print(json.dumps(res.to_json()))
     else:
-        print(f"pmd = {res.value} ({res.status})")
+        value = res.value if res.status == "exact" else f"[{res.lower}, {res.value}]"
+        print(f"pmd = {value} ({res.status})")
         for l, part in enumerate(res.decomposition.parts, start=1):
             print(f"  part {l}: {sorted(part)}")
     return 0

@@ -26,9 +26,32 @@ group, and both are cached per stage mask for the whole solve (``keys``):
 the same residual comes back when parts are removed in another order,
 and again at each q, and it is labelled once. The cache has no cap; it
 holds one entry per distinct stage that passes the degree bound.
-``pmd()`` asks for q = max degree, max degree + 1, ... and stops at the
-first yes, so a success is never looked up again: ``decide`` returns
-the parts of the first split it finds straight up the recursion.
+``pmd()`` asks for q = bound, bound + 1, ... and stops at the first yes,
+so a success is never looked up again: ``decide`` returns the parts of
+the first split it finds straight up the recursion.
+
+The bound is max(Δ, 2ω − 3, a + b − 1) (``_subgraph_bound``), with ω
+the largest clique and K_{a,b} the largest complete bipartite subgraph
+that a scan of vertex pairs finds. Conca and Welker proved
+pmd(K_n) = 2n − 3 and pmd(K_{a,b}) = a + b − 1 (*Lovász–Saks–Schrijver
+ideals and coordinate sections of determinantal varieties*, Algebra &
+Number Theory 13, 2019), and
+
+- Lemma 3: pmd(H) <= pmd(G) for every subgraph H of G. Cut each part of
+  a decomposition of G down to E(H) and drop the parts left empty. A
+  cut part is a matching, and its stage in H is its stage in G cut down
+  to E(H), so its edges and the other stage edges are among those of
+  G's stage, and the weights that certify G's part still meet every
+  inequality.
+
+So no q below the bound splits, and a bound above a decomposition's
+length is a solver bug, which raises by an explicit check that runs
+under -O. ``memo_lo`` only cuts subtrees that would return None, so the
+search at q = pmd finds the same first split as a search that refutes
+every q from Δ up: the value, parts and certificates of an exact solve
+do not depend on where the loop starts; only node counts do. The bound
+is computed only when the seed is longer than Δ, so forests never pay
+for it.
 
 ``decide`` enumerates the maximal parts of a stage one edge orbit at a
 time, in the order of the orbits' first edges. The run for orbit O
@@ -80,8 +103,9 @@ its part set, sorted run by run.
 
 Every graph takes one path. The seed is ``forest_parts``, which on a
 forest colours the edges properly with max-degree many colours in one
-traversal, or else ``greedy_parts``; the search runs for each q below
-the seed's length, so a forest and an edgeless graph need none.
+traversal, or else ``greedy_parts``; the search runs for each q from
+the bound up to below the seed's length, so a forest, an edgeless graph
+and a graph whose seed meets the bound need none.
 ``_Solver.certify`` only builds the certificate of each reported stage,
 from the same screen: ``posmatch.walk_weights`` folds ``_extend`` over
 the part's edges and turns the final reach sets into integer weights.
@@ -140,9 +164,11 @@ class PmdResult:
     status: str                  # "exact" | "upper_bound_only"
     nodes: int
     ms: float
+    lower: int                   # least q not refuted; == value when exact
 
     def to_json(self) -> dict:
-        out = {"value": self.value, "status": self.status, "nodes": self.nodes}
+        out = {"value": self.value, "lower": self.lower, "status": self.status,
+               "nodes": self.nodes}
         out.update(self.decomposition.to_json())
         return out
 
@@ -431,17 +457,57 @@ def pmd(g: Graph, node_budget: int | None = None) -> PmdResult:
                            else node_budget)
     s = _Solver(g, nb)
     best = s.forest_parts() or s.greedy_parts()
+    lower = max_degree(g)
+    if len(best) > lower:
+        lower = _subgraph_bound(g.masks())
     status = "exact"
     try:
-        for q in range(max_degree(g), len(best)):
-            found = s.decide((1 << s.m) - 1, q)
+        while lower < len(best):
+            found = s.decide((1 << s.m) - 1, lower)
             if found is not None:
                 best = found
                 break
+            lower += 1
     except BudgetExhausted:
         status = "upper_bound_only"
+    if lower > len(best):
+        raise RuntimeError(f"lower bound {lower} exceeds a decomposition "
+                           f"into {len(best)} parts")
     dec = s.certify(best)
-    return PmdResult(len(dec), dec, status, s.nodes, (time.monotonic() - t0) * 1000.0)
+    return PmdResult(len(dec), dec, status, s.nodes,
+                     (time.monotonic() - t0) * 1000.0, lower)
+
+
+def _subgraph_bound(nbr: list[int]) -> int:
+    """max(Δ, 2ω − 3, a + b − 1) for the graph with neighbour masks ``nbr``:
+    ω from a branch and bound for a largest clique, and a + b from each
+    vertex pair u <= w, where C = N(u) ∩ N(w) and A, the common neighbours
+    of C, span K_{|A|,|C|} (u = w gives the star at u, so Δ). Lemma 3
+    makes it a lower bound on pmd."""
+    everyone = (1 << len(nbr)) - 1
+    bound = omega = 0
+
+    def grow(size: int, cand: int):
+        nonlocal omega
+        omega = max(omega, size)
+        while cand and size + cand.bit_count() > omega:
+            low = cand & -cand
+            cand ^= low
+            grow(size + 1, cand & nbr[low.bit_length() - 1])
+
+    grow(0, everyone)
+    for u, nu in enumerate(nbr):
+        for nw in nbr[u:]:
+            common = c = nu & nw
+            if not common:
+                continue
+            side = everyone
+            while c:
+                low = c & -c
+                side &= nbr[low.bit_length() - 1]
+                c ^= low
+            bound = max(bound, side.bit_count() + common.bit_count() - 1)
+    return max(bound, 2 * omega - 3)
 
 
 def greedy_upper_bound(g: Graph) -> PmdDecomposition:

@@ -52,6 +52,16 @@ def connected_n6() -> list[Graph]:
 
 
 @pytest.fixture(scope="session")
+def connected_n7() -> list[Graph]:
+    graphs = atlas_graphs(7, connected_only=True)
+    counts = {}
+    for g in graphs:
+        counts[g.n] = counts.get(g.n, 0) + 1
+    assert counts == {**CONNECTED_COUNTS, 7: 853}
+    return graphs
+
+
+@pytest.fixture(scope="session")
 def all_n5() -> list[Graph]:
     graphs = atlas_graphs(5)
     counts = {}

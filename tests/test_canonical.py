@@ -252,15 +252,18 @@ def test_keys_equal_the_unpruned_search_on_random_graphs(case, rnd):
     assert canonical_form(nbr) == reference_form(nbr)
 
 
-@pytest.mark.parametrize("g", [complete(7), complete_bipartite(4, 4),
-                               complete_bipartite(6, 6)], ids=["K7", "K4,4", "K6,6"])
-def test_keys_equal_the_unpruned_search_on_solver_stages(g, monkeypatch):
-    """Every stage graph that a solve keys, and the solve itself unchanged."""
+@pytest.mark.parametrize("g, q", [(complete(7), 10), (complete_bipartite(4, 4), 6),
+                                  (complete_bipartite(6, 6), 10)],
+                         ids=["K7", "K4,4", "K6,6"])
+def test_keys_equal_the_unpruned_search_on_solver_stages(g, q, monkeypatch):
+    """Every stage graph that the refutation proving pmd(g) = q + 1 keys,
+    and the refutation itself unchanged."""
     seen = []
     keyed = pmd_module.canonical_labelling
     monkeypatch.setattr(pmd_module, "canonical_labelling",
                         lambda nbr: seen.append(list(nbr)) or keyed(nbr))
-    pmd_module.pmd(g)
+    s = pmd_module._Solver(g, 10 ** 6)
+    assert s.decide((1 << s.m) - 1, q) is None
     assert seen
     for nbr in seen:
         assert canonical_form(nbr) == reference_form(nbr), nbr

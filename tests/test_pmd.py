@@ -21,6 +21,31 @@ pmd_module = importlib.import_module("lssrings.pmd")
 
 EXAMPLE = parse_edge_list("4\n1 2\n2 3\n2 4\n3 4")
 
+# Graphs whose clique and complete bipartite bound (3, 4 and 5) lies below
+# pmd (4, 6 and 8), so pmd() searches: Petersen, the 4-cube and the crown
+# K6,6 - 6K2.
+PETERSEN = Graph.from_edges(10, [(i, i % 5 + 1) for i in range(1, 6)]
+                            + [(i, i + 5) for i in range(1, 6)]
+                            + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
+Q4 = Graph.from_edges(16, [(v + 1, (v | 1 << k) + 1) for v in range(16)
+                           for k in range(4) if not v >> k & 1])
+
+
+def _crown(k):
+    """K_{k,k} minus a perfect matching."""
+    return Graph.from_edges(2 * k, [(i, k + j) for i in range(1, k + 1)
+                                    for j in range(1, k + 1) if i != j])
+
+
+CROWN_5, CROWN_6 = _crown(5), _crown(6)
+
+
+def _refute(g, q):
+    """A fresh solver's ``decide`` on the whole edge set with q parts, and
+    the nodes it took."""
+    s = _Solver(g, 10 ** 7)
+    return s.decide((1 << s.m) - 1, q), s.nodes
+
 
 def test_example_graph_value_and_parts():
     res = pmd(EXAMPLE)
@@ -96,10 +121,11 @@ def test_verify_decomposition_rejects_non_matching():
 
 
 def test_budget_exhaustion_degrades_to_upper_bound():
-    res = pmd(complete(5), node_budget=3)
+    res = pmd(PETERSEN, node_budget=3)
     assert res.status == "upper_bound_only"
-    assert res.value >= 7                  # never better than the optimum
-    assert verify_decomposition(complete(5), res.decomposition)
+    assert res.value >= 4                  # never better than the optimum
+    assert res.lower == 3                  # stopped while deciding q = 3
+    assert verify_decomposition(PETERSEN, res.decomposition)
 
 
 @pytest.mark.parametrize("g", [Graph(0, ()), Graph(5, ())], ids=["n0", "n5"])
@@ -132,31 +158,28 @@ def test_decide_returns_the_parts_of_a_split(connected_n6):
 
 @pytest.mark.parametrize("budget", [1, 50])
 def test_budget_stop_keeps_the_greedy_seed(budget):
-    g = complete(8)
+    g = Q4
     res = pmd(g, node_budget=budget)
-    assert res.status == "upper_bound_only"
+    assert (res.status, res.lower) == ("upper_bound_only", 4)
     assert res.value == len(greedy_upper_bound(g))
     assert res.decomposition == greedy_upper_bound(g)
 
 
 def test_results_do_not_depend_on_the_clock(monkeypatch):
     """The node budget is the only stop: a clock that jumps an hour on
-    every read changes no value, status, node count or decomposition."""
-    cases = [(complete(7), None, (11, "exact", 291)),
-             (complete(9), 5000, (15, "upper_bound_only", 5001))]
+    every read changes no value, bound, status, node count or
+    decomposition."""
+    cases = [(complete(7), None, (11, 11, "exact", 0)),
+             (PETERSEN, None, (4, 4, "exact", 126)),
+             (Q4, 5000, (7, 5, "upper_bound_only", 5001))]
     steady = [pmd(g, node_budget=nb) for g, nb, _ in cases]
     now = itertools.count(0.0, 3600.0)
     monkeypatch.setattr(pmd_module, "time",
                         types.SimpleNamespace(monotonic=lambda: next(now)))
     for (g, nb, pin), before in zip(cases, steady):
         res = pmd(g, node_budget=nb)
-        assert (res.value, res.status, res.nodes) == pin
+        assert (res.value, res.lower, res.status, res.nodes) == pin
         assert res.decomposition == before.decomposition
-
-
-PETERSEN = Graph.from_edges(10, [(i, i % 5 + 1) for i in range(1, 6)]
-                            + [(i, i + 5) for i in range(1, 6)]
-                            + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)])
 
 
 def _count_labellings(monkeypatch, generators=True):
@@ -174,29 +197,27 @@ def _count_labellings(monkeypatch, generators=True):
     return calls
 
 
-CROWN_5 = Graph.from_edges(10, [(i, 5 + j) for i in range(1, 6)
-                                for j in range(1, 6) if i != j])
-
-
 def test_orbit_branching_changes_only_time(connected_n6, monkeypatch):
     """Descending into one maximal part per orbit of parts, within each
-    edge orbit's run, leaves value, status, nodes, parts and certificates
-    as they are with every part descended into, a budget-stopped solve
-    included."""
-    cases = [(g, None) for g in connected_n6]
-    cases += [(g, None) for g in (complete(7), complete_bipartite(4, 4),
-                                  complete_bipartite(5, 5),
-                                  complete_bipartite(6, 6), PETERSEN)]
-    cases.append((complete(12), 20_000))
+    edge orbit's run, leaves value, bound, status, nodes, parts and
+    certificates as they are with every part descended into, a
+    budget-stopped solve included, and leaves the refutations that prove
+    the values of K7, K4,4, K5,5 and K6,6 with the same nodes."""
+    solves = [(g, None) for g in (*connected_n6, PETERSEN)] + [(CROWN_6, 20_000)]
+    refutations = [(complete(7), 10), (complete_bipartite(4, 4), 6),
+                   (complete_bipartite(5, 5), 8), (complete_bipartite(6, 6), 10)]
 
-    def fields(r):
-        return (r.value, r.status, r.nodes, r.decomposition.parts,
+    def run():
+        out = [(r.value, r.lower, r.status, r.nodes, r.decomposition.parts,
                 r.decomposition.certificates)
+               for r in (pmd(g, node_budget=nb) for g, nb in solves)]
+        return out + [_refute(g, q) for g, q in refutations]
 
-    branched = [fields(pmd(g, node_budget=nb)) for g, nb in cases]
-    assert branched[-1][1] == "upper_bound_only"
+    branched = run()
+    assert branched[len(solves) - 1][1:3] == (8, "upper_bound_only")
+    assert [nodes for _, nodes in branched[len(solves):]] == [223, 22, 105, 884]
     monkeypatch.setattr(_Solver, "_orbit", staticmethod(lambda pm, gens: {pm}))
-    assert [fields(pmd(g, node_budget=nb)) for g, nb in cases] == branched
+    assert run() == branched
 
 
 def test_edge_orbits_and_forced_cover_change_no_value(connected_n6, monkeypatch):
@@ -230,8 +251,8 @@ def test_edge_orbits_and_forced_cover_change_no_value(connected_n6, monkeypatch)
 
 def test_edge_images_are_built_for_enumerated_stages_only(monkeypatch):
     """A stage whose canonical form ``memo_lo`` already refutes gets no edge
-    image lists: on K9 they are built once per enumeration, 327 times,
-    where building them with the ``keys`` entry took 531."""
+    image lists: in the refutation of 14 parts on K9 they are built once
+    per enumeration, 235 times."""
     built, enumerated = [], []
     edge_images, maximal_parts = _Solver._edge_images, _Solver._maximal_parts
 
@@ -246,19 +267,18 @@ def test_edge_images_are_built_for_enumerated_stages_only(monkeypatch):
 
     monkeypatch.setattr(_Solver, "_edge_images", counted_images)
     monkeypatch.setattr(_Solver, "_maximal_parts", counted_parts)
-    res = pmd(complete(9))
-    assert (res.value, res.status, res.nodes) == (15, "exact", 5877)
-    assert len(built) == len(enumerated) == 327
+    assert _refute(complete(9), 14) == (None, 4896)
+    assert len(built) == len(enumerated) == 235
 
 
 def test_orbit_branching_labels_fewer_stages(monkeypatch):
-    """Skipped parts are never keyed: K7 labels 184 stages without orbit
-    branching and fewer with it."""
+    """Skipped parts are never keyed: the refutation of 10 parts on K7
+    labels 184 stages without orbit branching and fewer with it."""
     calls = _count_labellings(monkeypatch)
-    pmd(complete(7))
+    assert _refute(complete(7), 10) == (None, 223)
     branched = len(calls)
     calls = _count_labellings(monkeypatch, generators=False)
-    pmd(complete(7))
+    assert _refute(complete(7), 10)[0] is None
     assert len(calls) == 184
     assert 0 < branched < 184
 
@@ -285,18 +305,64 @@ def test_node_budget_below_one_is_rejected(budget):
 
 
 def test_complete_and_complete_bipartite_values():
-    """K_n = 2n - 3 and K_{a,b} = a + b - 1 as expectations of the exact
-    search; the solver uses neither formula. K8 and K5,5 are exact within
-    the default node budget."""
-    for n in range(2, 9):
+    """K_n = 2n - 3 and K_{a,b} = a + b - 1. The solver takes both formulas
+    as lower bounds (Conca-Welker), and its greedy seed meets them, so
+    each is exact without a search node, K11, K12, K20 and K7,7 included;
+    ``test_closed_forms_hold_by_exhaustion`` proves the formulas up to K9
+    and a + b = 10 without them."""
+    for n in [*range(2, 13), 20]:
         res = pmd(complete(n))
-        assert (res.value, res.status) == (2 * n - 3, "exact")
+        assert (res.value, res.lower, res.status, res.nodes) == (2 * n - 3, 2 * n - 3, "exact", 0)
         assert verify_decomposition(complete(n), res.decomposition)
-    for a, b in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (4, 4), (5, 5)]:
+    for a, b in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (2, 5), (3, 4), (4, 4), (5, 5), (7, 7)]:
         g = complete_bipartite(a, b)
         res = pmd(g)
-        assert (res.value, res.status) == (a + b - 1, "exact")
+        assert (res.value, res.lower, res.status) == (a + b - 1, a + b - 1, "exact")
         assert verify_decomposition(g, res.decomposition)
+
+
+def test_closed_forms_hold_by_exhaustion():
+    """The search alone refutes 2n - 4 parts on K3-K9 and a + b - 2 parts on
+    K_{a,b} with a + b <= 10, and the bound finds exactly 2n - 3 and
+    a + b - 1 on them."""
+    for n in range(3, 10):
+        assert _refute(complete(n), 2 * n - 4)[0] is None, n
+        assert pmd_module._subgraph_bound(complete(n).masks()) == 2 * n - 3
+    for a in range(1, 6):
+        for b in range(a, 11 - a):
+            g = complete_bipartite(a, b)
+            assert _refute(g, a + b - 2)[0] is None, (a, b)
+            assert pmd_module._subgraph_bound(g.masks()) == a + b - 1
+
+
+def test_subgraph_bound_never_exceeds_pmd(connected_n7):
+    """The search refutes bound - 1 parts on every connected graph with
+    n <= 7, so the bound never exceeds pmd there, by exhaustion and not by
+    Lemma 3; each solve's ``lower`` equals its exact value."""
+    above_degree = 0
+    for g in connected_n7[1:]:             # the single vertex has no edge
+        assert g.m
+        bound = pmd_module._subgraph_bound(g.masks())
+        assert bound >= max_degree(g)
+        above_degree += bound > max_degree(g)
+        assert _refute(g, bound - 1)[0] is None, g
+        res = pmd(g)
+        assert res.status == "exact" and res.lower == res.value >= bound
+    assert above_degree == 185
+
+
+def test_a_bound_above_a_decomposition_is_a_bug(monkeypatch):
+    """A bound above the seed's length raises; forests and graphs whose
+    seed has max-degree many parts never compute the bound."""
+    monkeypatch.setattr(pmd_module, "_subgraph_bound", lambda nbr: 12)
+    message = "lower bound 12 exceeds a decomposition into 11 parts"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        pmd(complete(7))
+    monkeypatch.setattr(pmd_module, "_subgraph_bound",
+                        lambda nbr: pytest.fail("the bound was computed"))
+    for g in (star(5), path(6), EXAMPLE, Graph(3, ())):
+        res = pmd(g)
+        assert (res.lower, res.status, res.nodes) == (res.value, "exact", 0)
 
 
 def test_oracle_equivalence_on_connected_small(connected_n6):
@@ -316,17 +382,15 @@ def test_bounds_on_results(connected_n6):
                 assert res.value <= min(g.n - 1, g.m)
 
 
-def test_subgraph_monotonicity(all_n5):
-    rng = random.Random(17)
-    for g in rng.sample(all_n5, 12):
-        if g.m < 2:
-            continue
+def test_subgraph_monotonicity(connected_n6):
+    """Lemma 3 on single edges: pmd(G - e) <= pmd(G) for every edge of every
+    connected graph with n <= 6."""
+    for g in connected_n6:
         full = pmd(g).value
-        edges = list(g.edge_labels())
-        sub_edges = rng.sample(edges, g.m - 1)
-        from lssrings.graphs import Graph
-        sub = Graph.from_edges(g.n, sub_edges)
-        assert pmd(sub).value <= full
+        edges = g.edge_labels()
+        for e in edges:
+            sub = Graph.from_edges(g.n, [f for f in edges if f != e])
+            assert pmd(sub).value <= full, (g, e)
 
 
 def test_every_result_passes_verification(connected_n6):

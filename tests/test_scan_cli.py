@@ -16,6 +16,10 @@ from lssrings.scan import (CSV_HEADER, CSV_SCHEMA_VERSION, check_forest_pmd,
                            enumerate_trees, iter_corpus_lines, pruefer_decode,
                            rows_to_csv, scan_corpus, scan_graph)
 
+# The Petersen graph: pmd 4 above its bound 3 (max degree; no triangle and
+# no 4-cycle), so a solve searches.
+PETERSEN_G6 = "IheA@GUAo"
+
 
 def run_cli(*args, capsys=None):
     return cli_main(list(args))
@@ -141,9 +145,7 @@ def test_scan_pool_never_outnumbers_the_corpus(monkeypatch):
 
 
 def test_budget_exhausted_rows_not_counted_as_violations():
-    from lssrings.graphs import complete
-    k6 = encode_graph6(complete(6))
-    rows, summary = scan_corpus([k6], node_budget=2, stable_ms=True)
+    rows, summary = scan_corpus([PETERSEN_G6], node_budget=2, stable_ms=True)
     assert rows[0].status == "upper_bound_only"
     assert rows[0].ok_conjecture is None
     assert summary.violations == 0 and summary.budget_exhausted == 1
@@ -161,18 +163,17 @@ def test_explicit_node_budget_below_one_is_rejected():
 def test_the_environment_does_not_set_the_budget(tmp_path, capsys, monkeypatch):
     """The node budget is only an argument: LSS_BUDGET_NODES, a small
     value or not a number, changes neither a solve nor a scan."""
-    from lssrings.graphs import complete
     corpus = tmp_path / "corpus.g6"
-    corpus.write_text(f"A_\nC~\n{encode_graph6(complete(6))}\n", encoding="utf-8")
+    corpus.write_text(f"A_\nC~\n{PETERSEN_G6}\n", encoding="utf-8")
 
     def run():
-        res = pmd(complete(6))
+        res = pmd(parse_graph6(PETERSEN_G6))
         code = cli_main(["scan", str(corpus), "--stable"])
         return (res.value, res.status, res.nodes), code, capsys.readouterr()
 
     monkeypatch.delenv("LSS_BUDGET_NODES", raising=False)
     unset = run()
-    assert unset[0][:2] == (9, "exact") and unset[1] == 0
+    assert unset[0] == (4, "exact", 126) and unset[1] == 0
     for value in ("2", "abc"):
         monkeypatch.setenv("LSS_BUDGET_NODES", value)
         assert run() == unset
@@ -216,8 +217,22 @@ def test_cli_invariants_of_graphs_graph6_cannot_encode(capsys):
 def test_cli_pmd_certificate(capsys):
     assert cli_main(["pmd", "example", "--certificate"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["value"] == 3 and data["status"] == "exact"
+    assert data["value"] == data["lower"] == 3 and data["status"] == "exact"
+    assert list(data) == ["value", "lower", "status", "nodes", "parts", "certificates"]
     assert len(data["certificates"]) == 3
+
+
+def test_cli_pmd_prints_the_proven_interval_of_a_budget_stop(capsys):
+    """A budget-stopped solve prints [lower, value]: the least part count
+    it has not refuted and the length of its decomposition."""
+    assert cli_main(["pmd", PETERSEN_G6, "--budget", "3"]) == 0
+    assert capsys.readouterr().out.startswith("pmd = [3, 5] (upper_bound_only)\n")
+    assert cli_main(["pmd", PETERSEN_G6, "--budget", "3", "--certificate"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["lower"], data["value"], data["status"]) == (3, 5, "upper_bound_only")
+    assert cli_main(["pmd", "complete:12", "--certificate"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["lower"], data["value"], data["status"], data["nodes"]) == (21, 21, "exact", 0)
 
 
 def test_cli_pmd_of_k8_is_exact(capsys):
@@ -525,7 +540,8 @@ def test_cli_trees_check(capsys, monkeypatch):
     assert "PASS" in capsys.readouterr().out
     # a solve that answers pmd = degree + 1 fails the check
     monkeypatch.setattr(scan, "solve_pmd", lambda g, node_budget=None:
-                        PmdResult(max_degree(g) + 1, None, "exact", 0, 0.0))
+                        PmdResult(max_degree(g) + 1, None, "exact", 0, 0.0,
+                                  max_degree(g) + 1))
     assert cli_main(["trees", "--n", "3", "--check"]) == 1
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "FAIL pmd != delta" in captured.err

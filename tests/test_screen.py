@@ -142,27 +142,40 @@ def test_incremental_screen_in_random_order(case):
             break
 
 
+def _refutation_nodes(g, value):
+    """Nodes of the refutation that proves pmd(g) = value: a fresh solver's
+    ``decide`` on the whole edge set with value - 1 parts. ``pmd()`` skips
+    it when a clique or a complete bipartite subgraph settles the value."""
+    s = pmd_module._Solver(g, 10 ** 9)
+    assert s.decide((1 << s.m) - 1, value - 1) is None
+    return s.nodes
+
+
 def test_search_node_counts_are_pinned():
     """The search is deterministic, so its node counts repeat exactly. A
     refutation is memoized per isomorphism class of the residual graph, so
     a change to the screen, the enumeration or the canonical form that
     alters which nodes the search visits shows here."""
-    assert pmd(complete(5)).nodes == 24
-    assert pmd(complete(6)).nodes == 83
-    assert pmd(complete_bipartite(4, 4)).nodes == 29
+    assert _refutation_nodes(complete(5), 7) == 17
+    assert _refutation_nodes(complete(6), 9) == 60
+    assert _refutation_nodes(complete(7), 11) == 223
+    assert _refutation_nodes(complete_bipartite(4, 4), 7) == 22
 
 
 def test_search_results_are_pinned():
-    """Value, status and nodes of larger solves, where most keys come
-    from the orbit-pruned search and the per-solve cache of keys by stage
-    mask, and the search descends into one maximal part per automorphism
-    orbit; the CI step "Search is unchanged" checks the same figures."""
-    for g, expected in [(complete(8), (13, "exact", 1214)),
-                        (complete(9), (15, "exact", 5877)),
-                        (complete_bipartite(5, 5), (9, "exact", 137)),
-                        (complete_bipartite(6, 6), (11, "exact", 1041))]:
+    """Value, status and nodes of larger solves, where the lower bound of a
+    clique or a complete bipartite subgraph meets the greedy seed, so
+    ``pmd()`` searches no node, and the nodes of the refutation that
+    proves each value, where most keys come from the orbit-pruned search
+    and the per-solve cache of keys by stage mask, and the search
+    descends into one maximal part per automorphism orbit; the CI step
+    "Search is unchanged" checks the same figures."""
+    for g, value, nodes in [(complete(8), 13, 964), (complete(9), 15, 4896),
+                            (complete_bipartite(5, 5), 9, 105),
+                            (complete_bipartite(6, 6), 11, 884)]:
         r = pmd(g)
-        assert (r.value, r.status, r.nodes) == expected
+        assert (r.value, r.lower, r.status, r.nodes) == (value, value, "exact", 0)
+        assert _refutation_nodes(g, value) == nodes
 
 
 def test_hypercube_q4_is_exact_within_the_node_target():
