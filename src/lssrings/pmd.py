@@ -449,7 +449,10 @@ class _Solver:
 def pmd(g: Graph, node_budget: int | None = None) -> PmdResult:
     """Exact pmd with certificates, degrading to an upper bound once the
     search passes ``node_budget`` nodes (None: ``DEFAULT_NODE_BUDGET``),
-    its only stop: the clock times ``ms`` and nothing else. Single-task
+    its only stop: the clock times ``ms`` and nothing else. The budget
+    counts search nodes only; the seed, ``_subgraph_bound`` (a clique
+    branch and bound, exponential in the worst case and ω + 1 frames
+    deep) and the certificates run outside it. Single-task
     and deterministic; corpus-level parallelism lives in the scan harness.
     A node budget other than an integer of at least 1 raises ValueError."""
     t0 = time.monotonic()

@@ -15,6 +15,7 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from lssrings.graphs import Graph
+from lssrings.pmd import _Solver
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
@@ -92,6 +93,15 @@ def small_edge_classes() -> list[Graph]:
         levels[m] = seen
     assert {m: len(v) for m, v in levels.items()} == EDGE_CLASS_COUNTS
     return [_to_graph(gg) for graphs in levels.values() for gg in graphs]
+
+
+def refute(g: Graph, q: int):
+    """A fresh solver's ``decide`` on the whole edge set with q parts, and
+    the nodes it took. With q = pmd(g) - 1 it is the refutation that
+    proves the value, which ``pmd()`` skips when a clique or a complete
+    bipartite subgraph settles it."""
+    s = _Solver(g, 10 ** 7)
+    return s.decide((1 << s.m) - 1, q), s.nodes
 
 
 def reference_encode_graph6(g: Graph) -> str:

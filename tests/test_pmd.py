@@ -16,6 +16,8 @@ from lssrings.pmd import (PmdDecomposition, _Solver, greedy_upper_bound, pmd,
                           pmd_bruteforce, verify_decomposition)
 from lssrings.posmatch import WeightCertificate
 
+from conftest import refute
+
 # lssrings.pmd is shadowed by the function of the same name on the package.
 pmd_module = importlib.import_module("lssrings.pmd")
 
@@ -38,13 +40,6 @@ def _crown(k):
 
 
 CROWN_5, CROWN_6 = _crown(5), _crown(6)
-
-
-def _refute(g, q):
-    """A fresh solver's ``decide`` on the whole edge set with q parts, and
-    the nodes it took."""
-    s = _Solver(g, 10 ** 7)
-    return s.decide((1 << s.m) - 1, q), s.nodes
 
 
 def test_example_graph_value_and_parts():
@@ -211,7 +206,7 @@ def test_orbit_branching_changes_only_time(connected_n6, monkeypatch):
         out = [(r.value, r.lower, r.status, r.nodes, r.decomposition.parts,
                 r.decomposition.certificates)
                for r in (pmd(g, node_budget=nb) for g, nb in solves)]
-        return out + [_refute(g, q) for g, q in refutations]
+        return out + [refute(g, q) for g, q in refutations]
 
     branched = run()
     assert branched[len(solves) - 1][1:3] == (8, "upper_bound_only")
@@ -224,20 +219,26 @@ def test_edge_orbits_and_forced_cover_change_no_value(connected_n6, monkeypatch)
     """Value and status are the same with the automorphism generators
     removed (every edge its own orbit: the whole-stage enumeration) and
     with the forced-cover cut off, and every decomposition passes the
-    check."""
-    graphs = [*connected_n6, *map(complete, range(5, 10)), PETERSEN, CROWN_5]
-    graphs += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 11 - a)]
+    check. ``pmd()`` settles K5-K9 and K_{a,b} with a + b <= 10 by the
+    subgraph bound, so for these ``decide`` runs under each setting too:
+    it refutes value - 1 parts and finds a split into value parts."""
+    graphs = [*connected_n6, PETERSEN, CROWN_5]
+    settled = [*map(complete, range(5, 10))]
+    settled += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 11 - a)]
 
     def solve_all():
         out = []
-        for g in graphs:
+        for g in graphs + settled:
             r = pmd(g)
             assert verify_decomposition(g, r.decomposition), g
             out.append((r.value, r.status))
-        return out
+        decided = [(refute(g, value - 1)[0], refute(g, value)[0] is not None)
+                   for g, (value, _) in zip(settled, out[len(graphs):])]
+        return out, decided
 
     pruned = solve_all()
-    assert all(status == "exact" for _, status in pruned)
+    assert all(status == "exact" for _, status in pruned[0])
+    assert pruned[1] == [(None, True)] * len(settled)
     maximal_parts = _Solver._maximal_parts
     monkeypatch.setattr(_Solver, "_maximal_parts",
                         lambda self, host, nbr, first, banned, tight:
@@ -267,7 +268,7 @@ def test_edge_images_are_built_for_enumerated_stages_only(monkeypatch):
 
     monkeypatch.setattr(_Solver, "_edge_images", counted_images)
     monkeypatch.setattr(_Solver, "_maximal_parts", counted_parts)
-    assert _refute(complete(9), 14) == (None, 4896)
+    assert refute(complete(9), 14) == (None, 4896)
     assert len(built) == len(enumerated) == 235
 
 
@@ -275,10 +276,10 @@ def test_orbit_branching_labels_fewer_stages(monkeypatch):
     """Skipped parts are never keyed: the refutation of 10 parts on K7
     labels 184 stages without orbit branching and fewer with it."""
     calls = _count_labellings(monkeypatch)
-    assert _refute(complete(7), 10) == (None, 223)
+    assert refute(complete(7), 10) == (None, 223)
     branched = len(calls)
     calls = _count_labellings(monkeypatch, generators=False)
-    assert _refute(complete(7), 10)[0] is None
+    assert refute(complete(7), 10)[0] is None
     assert len(calls) == 184
     assert 0 < branched < 184
 
@@ -326,12 +327,12 @@ def test_closed_forms_hold_by_exhaustion():
     K_{a,b} with a + b <= 10, and the bound finds exactly 2n - 3 and
     a + b - 1 on them."""
     for n in range(3, 10):
-        assert _refute(complete(n), 2 * n - 4)[0] is None, n
+        assert refute(complete(n), 2 * n - 4)[0] is None, n
         assert pmd_module._subgraph_bound(complete(n).masks()) == 2 * n - 3
     for a in range(1, 6):
         for b in range(a, 11 - a):
             g = complete_bipartite(a, b)
-            assert _refute(g, a + b - 2)[0] is None, (a, b)
+            assert refute(g, a + b - 2)[0] is None, (a, b)
             assert pmd_module._subgraph_bound(g.masks()) == a + b - 1
 
 
@@ -345,7 +346,7 @@ def test_subgraph_bound_never_exceeds_pmd(connected_n7):
         bound = pmd_module._subgraph_bound(g.masks())
         assert bound >= max_degree(g)
         above_degree += bound > max_degree(g)
-        assert _refute(g, bound - 1)[0] is None, g
+        assert refute(g, bound - 1)[0] is None, g
         res = pmd(g)
         assert res.status == "exact" and res.lower == res.value >= bound
     assert above_degree == 185

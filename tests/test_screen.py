@@ -18,6 +18,8 @@ from lssrings import kernel, posmatch
 from lssrings.graphs import Graph, complete, complete_bipartite
 from lssrings.pmd import pmd
 
+from conftest import refute
+
 # lssrings.pmd is shadowed by the function of the same name on the package.
 pmd_module = importlib.import_module("lssrings.pmd")
 
@@ -142,24 +144,16 @@ def test_incremental_screen_in_random_order(case):
             break
 
 
-def _refutation_nodes(g, value):
-    """Nodes of the refutation that proves pmd(g) = value: a fresh solver's
-    ``decide`` on the whole edge set with value - 1 parts. ``pmd()`` skips
-    it when a clique or a complete bipartite subgraph settles the value."""
-    s = pmd_module._Solver(g, 10 ** 9)
-    assert s.decide((1 << s.m) - 1, value - 1) is None
-    return s.nodes
-
-
 def test_search_node_counts_are_pinned():
-    """The search is deterministic, so its node counts repeat exactly. A
-    refutation is memoized per isomorphism class of the residual graph, so
+    """The search is deterministic, so its node counts repeat exactly; here
+    those of the refutations that prove pmd(K5) = 7, pmd(K6) = 9,
+    pmd(K7) = 11 and pmd(K4,4) = 7. A refutation is memoized per isomorphism class of the residual graph, so
     a change to the screen, the enumeration or the canonical form that
     alters which nodes the search visits shows here."""
-    assert _refutation_nodes(complete(5), 7) == 17
-    assert _refutation_nodes(complete(6), 9) == 60
-    assert _refutation_nodes(complete(7), 11) == 223
-    assert _refutation_nodes(complete_bipartite(4, 4), 7) == 22
+    assert refute(complete(5), 6) == (None, 17)
+    assert refute(complete(6), 8) == (None, 60)
+    assert refute(complete(7), 10) == (None, 223)
+    assert refute(complete_bipartite(4, 4), 6) == (None, 22)
 
 
 def test_search_results_are_pinned():
@@ -175,7 +169,7 @@ def test_search_results_are_pinned():
                             (complete_bipartite(6, 6), 11, 884)]:
         r = pmd(g)
         assert (r.value, r.lower, r.status, r.nodes) == (value, value, "exact", 0)
-        assert _refutation_nodes(g, value) == nodes
+        assert refute(g, value - 1) == (None, nodes)
 
 
 def test_hypercube_q4_is_exact_within_the_node_target():
