@@ -120,7 +120,6 @@ path; it serves only as the independent oracle in pmd_bruteforce.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .graphs import Graph, canonical_labelling, image, max_degree, orbit
@@ -163,7 +162,6 @@ class PmdResult:
     decomposition: PmdDecomposition
     status: str                  # "exact" | "upper_bound_only"
     nodes: int
-    ms: float
     lower: int                   # least q not refuted; == value when exact
 
     def to_json(self) -> dict:
@@ -449,13 +447,12 @@ class _Solver:
 def pmd(g: Graph, node_budget: int | None = None) -> PmdResult:
     """Exact pmd with certificates, degrading to an upper bound once the
     search passes ``node_budget`` nodes (None: ``DEFAULT_NODE_BUDGET``),
-    its only stop: the clock times ``ms`` and nothing else. The budget
-    counts search nodes only; the seed, ``_subgraph_bound`` (a clique
-    branch and bound, exponential in the worst case and ω + 1 frames
-    deep) and the certificates run outside it. Single-task
-    and deterministic; corpus-level parallelism lives in the scan harness.
-    A node budget other than an integer of at least 1 raises ValueError."""
-    t0 = time.monotonic()
+    its only stop. The budget counts search nodes only; the seed,
+    ``_subgraph_bound`` (a clique branch and bound, exponential in the
+    worst case and ω + 1 frames deep) and the certificates run outside
+    it. Single-task and deterministic; corpus-level parallelism lives in
+    the scan harness. A node budget other than an integer of at least 1
+    raises ValueError."""
     nb = check_node_budget(DEFAULT_NODE_BUDGET if node_budget is None
                            else node_budget)
     s = _Solver(g, nb)
@@ -477,8 +474,7 @@ def pmd(g: Graph, node_budget: int | None = None) -> PmdResult:
         raise RuntimeError(f"lower bound {lower} exceeds a decomposition "
                            f"into {len(best)} parts")
     dec = s.certify(best)
-    return PmdResult(len(dec), dec, status, s.nodes,
-                     (time.monotonic() - t0) * 1000.0, lower)
+    return PmdResult(len(dec), dec, status, s.nodes, lower)
 
 
 def _subgraph_bound(nbr: list[int]) -> int:

@@ -131,9 +131,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():

@@ -1,9 +1,14 @@
-"""Every name a module imports is read in that module.
+"""Every name a module imports is read in that module, and no module
+holds an ``assert`` or reads ``__debug__``.
 
-Parses each module of the package except ``__init__.py``, which
-re-exports. ``__future__`` imports are skipped, and so is an import
-statement marked ``# noqa``: pmd keeps ``check_certificate`` bound for a
-benchmark wrapper that looks it up there.
+The import check parses each module of the package except
+``__init__.py``, which re-exports. ``__future__`` imports are skipped,
+and so is an import statement marked ``# noqa``: pmd keeps
+``check_certificate`` bound for a benchmark wrapper that looks it up
+there. The second check parses every module, ``__init__.py`` included:
+``python -O`` strips asserts and sets ``__debug__`` to False, so without
+either a plain run and an optimized run execute the same program, and
+every check in it is an explicit raise.
 """
 
 import ast
@@ -12,7 +17,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lssrings"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+EVERY_MODULE = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in EVERY_MODULE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -42,3 +48,26 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def debug_only_code(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each ``assert`` statement and each read of
+    ``__debug__``: the code that ``python -O`` runs differently."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append((node.lineno, "__debug__"))
+    return sorted(found)
+
+
+def test_detects_debug_only_code():
+    source = "def f(x):\n    assert x, 'no'\n    if __debug__:\n        g()\n    return x\n"
+    assert debug_only_code(source) == [(2, "assert"), (3, "__debug__")]
+    assert debug_only_code("if not x:\n    raise ValueError('no')\n") == []
+
+
+@pytest.mark.parametrize("path", EVERY_MODULE, ids=lambda p: p.name)
+def test_no_module_runs_differently_under_optimize_flag(path):
+    assert debug_only_code(path.read_text(encoding="utf-8")) == []

@@ -1,17 +1,19 @@
 """Solver, greedy bound, brute-force oracle, and decomposition checking."""
 
+import ast
 import copy
 import importlib
 import itertools
 import pickle
 import random
 import re
-import types
+from pathlib import Path
 
 import pytest
 
-from lssrings.graphs import (Graph, complete, complete_bipartite, cycle, is_forest,
-                             max_degree, parse_edge_list, path, star, is_bipartite)
+from lssrings.graphs import (Graph, complete, complete_bipartite, cycle, delete_vertex,
+                             is_forest, max_degree, parse_edge_list, path, star,
+                             is_bipartite)
 from lssrings.pmd import (PmdDecomposition, _Solver, greedy_upper_bound, pmd,
                           pmd_bruteforce, verify_decomposition)
 from lssrings.posmatch import WeightCertificate
@@ -160,21 +162,23 @@ def test_budget_stop_keeps_the_greedy_seed(budget):
     assert res.decomposition == greedy_upper_bound(g)
 
 
-def test_results_do_not_depend_on_the_clock(monkeypatch):
-    """The node budget is the only stop: a clock that jumps an hour on
-    every read changes no value, bound, status, node count or
-    decomposition."""
+def test_results_do_not_depend_on_the_clock():
+    """The node budget is the only stop, and ``pmd.py`` imports no clock:
+    value, bound, status and node count are pinned, and a second solve of
+    the same graph gives an equal result."""
+    tree = ast.parse(Path(pmd_module.__file__).read_text(encoding="utf-8"))
+    imported = {a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not imported & {"time", "datetime"}, imported
     cases = [(complete(7), None, (11, 11, "exact", 0)),
              (PETERSEN, None, (4, 4, "exact", 126)),
              (Q4, 5000, (7, 5, "upper_bound_only", 5001))]
-    steady = [pmd(g, node_budget=nb) for g, nb, _ in cases]
-    now = itertools.count(0.0, 3600.0)
-    monkeypatch.setattr(pmd_module, "time",
-                        types.SimpleNamespace(monotonic=lambda: next(now)))
-    for (g, nb, pin), before in zip(cases, steady):
+    for g, nb, pin in cases:
         res = pmd(g, node_budget=nb)
         assert (res.value, res.lower, res.status, res.nodes) == pin
-        assert res.decomposition == before.decomposition
+        assert pmd(g, node_budget=nb) == res
 
 
 def _count_labellings(monkeypatch, generators=True):
@@ -384,7 +388,8 @@ def test_bounds_on_results(connected_n6):
 
 
 def test_subgraph_monotonicity(connected_n6):
-    """Lemma 3 on single edges: pmd(G - e) <= pmd(G) for every edge of every
+    """Lemma 3 on single edges and single vertices: pmd(G - e) <= pmd(G)
+    for every edge and pmd(G - v) <= pmd(G) for every vertex of every
     connected graph with n <= 6."""
     for g in connected_n6:
         full = pmd(g).value
@@ -392,6 +397,8 @@ def test_subgraph_monotonicity(connected_n6):
         for e in edges:
             sub = Graph.from_edges(g.n, [f for f in edges if f != e])
             assert pmd(sub).value <= full, (g, e)
+        for v in range(1, g.n + 1):
+            assert pmd(delete_vertex(g, v)).value <= full, (g, v)
 
 
 def test_every_result_passes_verification(connected_n6):
@@ -455,4 +462,5 @@ def test_slotted_results_pickle_and_copy():
         assert not hasattr(obj, "__dict__")
         for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
             assert clone == obj and type(clone) is type(obj)
+    assert pmd(g) == res
     assert verify_decomposition(g, pickle.loads(pickle.dumps(res)).decomposition)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lssrings import cli, reports, scan
+from lssrings import WeightCertificate, check_certificate, cli, complete, reports, scan
 from lssrings.cli import main as cli_main
 from lssrings.graphs import encode_graph6, gapped, max_degree, parse_graph6
 from lssrings.pmd import PmdResult, pmd
@@ -152,7 +152,6 @@ def test_budget_exhausted_rows_not_counted_as_violations():
 
 
 def test_explicit_node_budget_below_one_is_rejected():
-    from lssrings.graphs import complete
     for budget in (0, -5, True):
         with pytest.raises(ValueError, match="node_budget must be a positive integer"):
             scan_graph(complete(5), "K5", node_budget=budget)
@@ -220,6 +219,34 @@ def test_cli_pmd_certificate(capsys):
     assert data["value"] == data["lower"] == 3 and data["status"] == "exact"
     assert list(data) == ["value", "lower", "status", "nodes", "parts", "certificates"]
     assert len(data["certificates"]) == 3
+
+
+def _replay(data, g):
+    """The stages of ``pmd --certificate`` JSON that the public
+    ``check_certificate`` refuses, each checked on the edges the earlier
+    parts leave, with the weights read back from their strings, and the
+    edges that no part covers."""
+    left, refused = set(g.edge_labels()), []
+    for stage, (part, cert) in enumerate(zip(data["parts"], data["certificates"], strict=True), 1):
+        part = [tuple(e) for e in part]
+        w = WeightCertificate(tuple((int(v), int(x)) for v, x in cert["weights"].items()))
+        if not check_certificate(left, part, w):
+            refused.append(stage)
+        left -= set(part)
+    return refused, left
+
+
+def test_cli_certificates_replay_through_the_public_check(capsys):
+    """Every stage of K7's certificate JSON passes the public check and
+    the parts cover every edge; with one weight negated, that stage is
+    refused."""
+    assert cli_main(["pmd", "complete:7", "--certificate"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["parts"]) == 11
+    assert _replay(data, complete(7)) == ([], set())
+    weights = data["certificates"][0]["weights"]
+    weights["1"] = str(-int(weights["1"]))
+    assert _replay(data, complete(7)) == ([1], set())
 
 
 def test_cli_pmd_prints_the_proven_interval_of_a_budget_stop(capsys):
@@ -540,7 +567,7 @@ def test_cli_trees_check(capsys, monkeypatch):
     assert "PASS" in capsys.readouterr().out
     # a solve that answers pmd = degree + 1 fails the check
     monkeypatch.setattr(scan, "solve_pmd", lambda g, node_budget=None:
-                        PmdResult(max_degree(g) + 1, None, "exact", 0, 0.0,
+                        PmdResult(max_degree(g) + 1, None, "exact", 0,
                                   max_degree(g) + 1))
     assert cli_main(["trees", "--n", "3", "--check"]) == 1
     captured = capsys.readouterr()

@@ -162,9 +162,9 @@ def test_search_results_are_pinned():
     ``pmd()`` searches no node, and the nodes of the refutation that
     proves each value, where most keys come from the orbit-pruned search
     and the per-solve cache of keys by stage mask, and the search
-    descends into one maximal part per automorphism orbit; the CI step
-    "Search is unchanged" checks the same figures."""
+    descends into one maximal part per automorphism orbit."""
     for g, value, nodes in [(complete(8), 13, 964), (complete(9), 15, 4896),
+                            (complete(10), 17, 30819),
                             (complete_bipartite(5, 5), 9, 105),
                             (complete_bipartite(6, 6), 11, 884)]:
         r = pmd(g)
